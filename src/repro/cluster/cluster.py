@@ -201,8 +201,16 @@ class TranscodeCluster:
         # devices -- still carry correct virtual timestamps.
         hub = obs.active()
         if hub is not None:
+            encoder = hub.metrics.time_gauge("cluster.encoder_util", sim.now)
+            recorded = encoder.last_time
+            if recorded > sim.now:
+                raise RuntimeError(
+                    "the installed observability hub already holds cluster"
+                    f" utilization up to t={recorded:g}, past this simulation's"
+                    f" clock (t={sim.now:g}); install a fresh hub per simulation"
+                    " (obs.installed())"
+                )
             hub.bind_clock(lambda: self.sim.now, lambda: self.sim.active_process_name)
-            hub.metrics.time_gauge("cluster.encoder_util", sim.now)
             hub.metrics.time_gauge("cluster.decoder_util", sim.now)
         self._rng = make_rng(seed)
         # Lane-segregated pending queues (see _drain_pending); the global

@@ -94,6 +94,13 @@ def _ordered_workers(
     return preferred + [w for w in workers if w.name not in chosen]
 
 
+#: Rows per fit-mask block in :meth:`BinPackingScheduler._place_indexed`.
+#: First fit usually admits in the first block, so a placement pays for
+#: a few hundred rows instead of the whole fleet; fleets this small or
+#: smaller still get one vectorized pass.
+_FIT_BLOCK = 256
+
+
 class _ShapeCache:
     """Per-request-shape placement state, valid for one batch.
 
@@ -233,9 +240,13 @@ class BinPackingScheduler:
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
-    def _fit_mask(self, request: Dict[str, float]) -> np.ndarray:
-        """Elementwise replica of ``MultiResource.fits`` over all workers."""
-        mask = np.ones(len(self._workers), dtype=bool)
+    def _fit_mask(
+        self, request: Dict[str, float], start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """Elementwise replica of ``MultiResource.fits`` over rows
+        ``start:stop`` (default: every worker)."""
+        avail = self._avail[start:stop]
+        mask = np.ones(len(avail), dtype=bool)
         for dim, amount in request.items():
             if amount <= 0:
                 continue
@@ -243,10 +254,10 @@ class BinPackingScheduler:
             if j is None:
                 # Dimension no indexed worker has: only resource-less
                 # workers can fit it (their try_admit decides).
-                mask &= self._unindexed
+                mask &= self._unindexed[start:stop]
                 continue
             epsilon = max(1e-9, 1e-9 * abs(amount))
-            mask &= self._avail[:, j] + epsilon >= amount
+            mask &= avail[:, j] + epsilon >= amount
         return mask
 
     # ------------------------------------------------------------------ #
@@ -397,7 +408,15 @@ class BinPackingScheduler:
         excluded: Set[str],
         preference: Optional[Sequence[str]],
     ) -> Optional[PlaceableWorker]:
-        mask = self._fit_mask(request)
+        """First fit, computing the fit mask one block of rows at a time.
+
+        Rows change only when an admission succeeds, and that ends the
+        scan, so masks computed lazily block by block (and shared with
+        the preference probes) equal one whole-fleet mask; the scan just
+        stops paying for rows past the first worker that admits.
+        """
+        workers = self._workers
+        masks: Dict[int, np.ndarray] = {}
         preferred: Set[int] = set()
         if preference:
             by_name = self._by_name
@@ -406,24 +425,34 @@ class BinPackingScheduler:
                 if index is None:
                     continue
                 preferred.add(index)
-                worker = self._workers[index]
+                start = index - index % _FIT_BLOCK
+                mask = masks.get(start)
+                if mask is None:
+                    mask = self._fit_mask(request, start, start + _FIT_BLOCK)
+                    masks[start] = mask
+                worker = workers[index]
                 if (
-                    mask[index]
+                    mask[index - start]
                     and worker.name not in excluded
                     and worker.available()
                     and worker.try_admit(request)
                 ):
                     self._refresh_row(index)
                     return worker
-        for index in np.flatnonzero(mask).tolist():
-            if index in preferred:
-                continue
-            worker = self._workers[index]
-            if worker.name in excluded or not worker.available():
-                continue
-            if worker.try_admit(request):
-                self._refresh_row(index)
-                return worker
+        for start in range(0, len(workers), _FIT_BLOCK):
+            mask = masks.get(start)
+            if mask is None:
+                mask = self._fit_mask(request, start, start + _FIT_BLOCK)
+            for offset in np.flatnonzero(mask).tolist():
+                index = start + offset
+                if index in preferred:
+                    continue
+                worker = workers[index]
+                if worker.name in excluded or not worker.available():
+                    continue
+                if worker.try_admit(request):
+                    self._refresh_row(index)
+                    return worker
         return None
 
     def place_scan(

@@ -22,7 +22,6 @@ from typing import Deque, Generator, List, Optional, Sequence, TYPE_CHECKING
 from repro import obs
 from repro.sim.engine import Process, Simulator
 from repro.vcu.host import VcuHost
-from repro.vcu.telemetry import FaultKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import TranscodeCluster
@@ -36,6 +35,13 @@ class RepairQueue:
     waiting: Deque[VcuHost] = field(default_factory=deque)
     in_repair: List[VcuHost] = field(default_factory=list)
     repaired: List[VcuHost] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.cap < 1:
+            raise ValueError(
+                f"repair_cap must be >= 1, got {self.cap}: a smaller cap"
+                " never starts a repair"
+            )
 
     def enqueue(self, host: VcuHost) -> bool:
         """Queue a host for repair; returns False when the cap blocks it.
@@ -70,8 +76,7 @@ class RepairQueue:
             # A repair swaps the faulty silicon: the replacement starts
             # with clean counters.  Without this, the next sweep re-reads
             # the old fault history and re-disables the fresh device.
-            vcu.telemetry.counters = {kind: 0 for kind in FaultKind}
-            vcu.telemetry.history.clear()
+            vcu.telemetry.reset()
         self.repaired.append(host)
 
 
@@ -84,6 +89,10 @@ class FailureManager:
         repair_cap: int = 2,
         card_swap_threshold: Optional[int] = None,
     ):
+        if card_swap_threshold is not None and card_swap_threshold < 1:
+            raise ValueError(
+                f"card_swap_threshold must be >= 1 or None, got {card_swap_threshold}"
+            )
         self.hosts = list(hosts)
         self.repair_queue = RepairQueue(cap=repair_cap)
         self.disabled_vcus: List[str] = []

@@ -76,6 +76,11 @@ class UtilizationTracker:
     def current(self) -> float:
         return self._last_value
 
+    @property
+    def last_time(self) -> float:
+        """Virtual time of the latest record (the start before any)."""
+        return self._last_time
+
 
 class Counter:
     """A monotonically increasing event count."""
@@ -218,6 +223,10 @@ class TimeWeightedGauge:
     @property
     def current(self) -> float:
         return self._tracker.current
+
+    @property
+    def last_time(self) -> float:
+        return self._tracker.last_time
 
 
 class MetricsRegistry:

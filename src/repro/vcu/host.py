@@ -45,10 +45,7 @@ class VcuTray:
         self.cards = [
             VcuCard(spec, host_spec) for _ in range(host_spec.cards_per_tray)
         ]
-
-    @property
-    def vcus(self) -> List[Vcu]:
-        return [vcu for card in self.cards for vcu in card.vcus]
+        self.vcus: List[Vcu] = [vcu for card in self.cards for vcu in card.vcus]
 
 
 class VcuHost:
@@ -76,15 +73,14 @@ class VcuHost:
             VcuTray(self.spec, self.host_spec)
             for _ in range(self.host_spec.trays_per_host)
         ]
+        #: Trays and cards are fixed for the host's life, so the flat VCU
+        #: list is built once (fleet sweeps walk it every interval).
+        self.vcus: List[Vcu] = [vcu for tray in self.trays for vcu in tray.vcus]
         self.unusable = False
         self.component_faults = 0
         #: Faults before the host is queued for repair (dozens of discrete
         #: components; a handful of hard faults takes it out).
         self.fault_budget = 6
-
-    @property
-    def vcus(self) -> List[Vcu]:
-        return [vcu for tray in self.trays for vcu in tray.vcus]
 
     def healthy_vcus(self) -> List[Vcu]:
         if self.unusable:
@@ -114,14 +110,16 @@ class VcuHost:
         """Disable any VCU whose fault counters crossed a threshold.
 
         Returns the VCUs disabled by this sweep (the host-level fault
-        collection workflow of Section 4.4).
+        collection workflow of Section 4.4).  Reads each device's
+        ``tripped`` flag, set when the fault was recorded, so a sweep
+        costs attribute reads, not a threshold check per device.
         """
-        newly_disabled = []
-        for vcu in self.vcus:
-            if not vcu.disabled and vcu.telemetry.should_disable():
-                vcu.disable()
-                newly_disabled.append(vcu)
-                self.component_faults += 1
+        newly_disabled = [
+            vcu for vcu in self.vcus if vcu.telemetry.tripped and not vcu.disabled
+        ]
+        for vcu in newly_disabled:
+            vcu.disable()
+        self.component_faults += len(newly_disabled)
         if self.component_faults >= self.fault_budget:
             self.unusable = True
         return newly_disabled

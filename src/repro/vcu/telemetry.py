@@ -40,27 +40,40 @@ DISABLE_THRESHOLDS: Dict[FaultKind, int] = {
 
 @dataclass
 class VcuTelemetry:
-    """Counters mirrored from device firmware."""
+    """Counters mirrored from device firmware.
+
+    ``counters`` change only through :meth:`record` and :meth:`reset`, so
+    the disable decision is kept as a flag at the moment a counter crosses
+    its threshold instead of being re-derived on every fleet sweep.
+    """
 
     vcu_id: str
     temperature_c: float = 55.0
     counters: Dict[FaultKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in FaultKind}
+        default_factory=lambda: dict.fromkeys(FaultKind, 0)
     )
     history: List[Tuple[float, FaultKind]] = field(default_factory=list)
+    #: Some counter has reached its disable threshold (sticky until reset).
+    tripped: bool = field(default=False, init=False)
 
     def record(self, kind: FaultKind, at_time: float = 0.0, count: int = 1) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.counters[kind] += count
+        total = self.counters[kind] + count
+        self.counters[kind] = total
         self.history.append((at_time, kind))
+        if total >= DISABLE_THRESHOLDS[kind]:
+            self.tripped = True
+
+    def reset(self) -> None:
+        """Clean counters, as after a repair swaps the faulty silicon."""
+        self.counters = dict.fromkeys(FaultKind, 0)
+        self.history.clear()
+        self.tripped = False
 
     def should_disable(self) -> bool:
         """Whether accumulated faults cross any disable threshold."""
-        return any(
-            self.counters[kind] >= threshold
-            for kind, threshold in DISABLE_THRESHOLDS.items()
-        )
+        return self.tripped
 
     def total_faults(self) -> int:
         return sum(self.counters.values())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
 from repro.sim import Simulator
 from repro.transcode import PopularityBucket, build_transcode_graph
@@ -146,3 +147,22 @@ class TestValidation:
         sim = Simulator()
         with pytest.raises(ValueError):
             make_cluster(sim, integrity_check_rate=1.5)
+
+    def test_reused_obs_hub_fails_at_construction(self):
+        with obs.installed() as hub:
+            first = Simulator()
+            cluster = make_cluster(first)
+            cluster.submit(upload_graph())
+            first.run()
+            assert hub.metrics.time_gauge("cluster.encoder_util").last_time > 0
+            with pytest.raises(RuntimeError, match="fresh hub per simulation"):
+                make_cluster(Simulator())
+
+    def test_fresh_hub_per_simulation_works(self):
+        for _ in range(2):
+            with obs.installed():
+                sim = Simulator()
+                cluster = make_cluster(sim)
+                cluster.submit(upload_graph())
+                sim.run()
+                assert cluster.stats.completed_graphs == 1

@@ -1,5 +1,6 @@
 """Tests for bin-packing vs single-slot scheduling and pools."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.pool import Pool, PoolKey, Priority, UseCase, rebalance_pools
@@ -174,6 +175,135 @@ class TestIndexedScanEquivalence:
                         trace.append(("place", worker.name))
                 traces.append(trace)
             assert traces[0] == traces[1]
+
+    # A fleet several fit-mask blocks wide: ``place`` computes its fit
+    # mask block by block, so block boundaries only show on fleets wider
+    # than one block.
+    WIDE = 700
+    #: Nearly a whole device, so pre-filled workers take nothing else.
+    FILL = {"millidecode": 2500.0, "milliencode": 9000.0, "dram_bytes": 1e9}
+
+    def _replay_wide(self, scheduler, seed, direct_releases, steps=1500):
+        """Replay a stream that mixes every way rows drift from ground truth.
+
+        90% of the fleet is filled behind the scheduler's back (optimistic
+        rows); placements carry preferences and exclusions drawn from the
+        whole fleet; devices are disabled and re-enabled mid-stream; 15%
+        of admissions go through ``place_scan`` (optimistic rows); and,
+        with ``direct_releases``, half the releases bypass the scheduler
+        (pessimistic rows, which force the refresh-and-rescan path).
+        """
+        workers = scheduler.workers
+        rng = make_rng(seed)
+        in_flight = []
+        for worker in workers:
+            if rng.random() < 0.9:
+                assert worker.try_admit(self.FILL)
+                in_flight.append((worker, self.FILL))
+        trace = []
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.2 and in_flight:
+                worker, request = in_flight.pop(int(rng.integers(len(in_flight))))
+                if direct_releases and rng.random() < 0.5:
+                    worker.release(request)
+                else:
+                    scheduler.release(worker, request)
+                trace.append(("release", worker.name))
+                continue
+            if roll < 0.25:
+                vcu = workers[int(rng.integers(len(workers)))].vcu
+                if vcu.disabled:
+                    vcu.enable()
+                else:
+                    vcu.disable()
+                trace.append(("toggle", vcu.vcu_id))
+                continue
+            request = self.REQUEST_SHAPES[int(rng.integers(len(self.REQUEST_SHAPES)))]
+            preference = (
+                [workers[int(i)].name for i in rng.choice(len(workers), 2, replace=False)]
+                if rng.random() < 0.3 else None
+            )
+            excluded = (
+                {workers[int(i)].name for i in rng.choice(len(workers), 3, replace=False)}
+                if rng.random() < 0.3 else frozenset()
+            )
+            place = scheduler.place_scan if rng.random() < 0.15 else scheduler.place
+            worker = place(request, excluded=excluded, preference=preference)
+            trace.append(
+                ("reject", None) if worker is None else ("place", worker.name)
+            )
+        return trace
+
+    def _wide_fleet(self):
+        return [
+            VcuWorker(Vcu(DEFAULT_VCU_SPEC, vcu_id=f"wide-vcu{i}"))
+            for i in range(self.WIDE)
+        ]
+
+    def test_indexed_matches_scan_on_multi_block_fleet(self):
+        rejections = 0
+        for seed in (5, 55):
+            scan = BinPackingScheduler(self._wide_fleet())
+            scan.place = scan.place_scan
+            fast = BinPackingScheduler(self._wide_fleet())
+            fast_trace = self._replay_wide(fast, seed, direct_releases=False)
+            assert fast_trace == self._replay_wide(scan, seed, direct_releases=False)
+            last = max(
+                int(name.rsplit("vcu", 1)[1])
+                for op, name in fast_trace if op == "place"
+            )
+            assert last >= 2 * 256  # placements reached the third block
+            rejections += fast_trace.count(("reject", None))
+        assert rejections  # some placements scanned every block and failed
+
+    def test_blockwise_matches_whole_fleet_mask_with_pessimistic_rows(self):
+        """Unobserved releases make rows pessimistic, so ``place`` may pick
+        a later worker than the scan would; it must still pick exactly
+        what the whole-fleet mask (the pre-block implementation, kept
+        here as the oracle) picks, including after refresh-and-rescan."""
+        for seed in (5, 55):
+            fast = BinPackingScheduler(self._wide_fleet())
+            refreshes = []
+            refresh_all = fast._refresh_all_rows
+            fast._refresh_all_rows = lambda: (refreshes.append(1), refresh_all())
+            fast_trace = self._replay_wide(fast, seed, direct_releases=True)
+            oracle_trace = self._replay_wide(
+                _WholeFleetMaskScheduler(self._wide_fleet()), seed,
+                direct_releases=True,
+            )
+            assert fast_trace == oracle_trace
+            assert refreshes  # the refresh-and-rescan path ran
+
+
+class _WholeFleetMaskScheduler(BinPackingScheduler):
+    """Oracle: first fit over one whole-fleet fit mask, computed up front."""
+
+    def _place_indexed(self, request, excluded, preference):
+        mask = self._fit_mask(request)
+        preferred = set()
+        for name in preference or ():
+            index = self._by_name.get(name)
+            if index is None:
+                continue
+            preferred.add(index)
+            worker = self._workers[index]
+            if (
+                mask[index]
+                and worker.name not in excluded
+                and worker.available()
+                and worker.try_admit(request)
+            ):
+                self._refresh_row(index)
+                return worker
+        for index in np.flatnonzero(mask).tolist():
+            worker = self._workers[index]
+            if index in preferred or worker.name in excluded or not worker.available():
+                continue
+            if worker.try_admit(request):
+                self._refresh_row(index)
+                return worker
+        return None
 
 
 class TestPools:

@@ -212,3 +212,22 @@ class TestFleetManagement:
         assert manager.fleet_capacity_fraction() == 1.0
         hosts[0].vcus[0].disable()
         assert manager.fleet_capacity_fraction() == pytest.approx(0.95)
+
+
+class TestRepairSettings:
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_repair_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="repair_cap must be >= 1"):
+            RepairQueue(cap=cap)
+        with pytest.raises(ValueError, match="repair_cap must be >= 1"):
+            FailureManager([], repair_cap=cap)
+
+    @pytest.mark.parametrize("threshold", [0, -2])
+    def test_card_swap_threshold_below_one_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match="card_swap_threshold must be >= 1"):
+            FailureManager([], card_swap_threshold=threshold)
+
+    def test_smallest_valid_settings_are_accepted(self):
+        manager = FailureManager([], repair_cap=1, card_swap_threshold=1)
+        assert manager.repair_queue.cap == 1
+        assert FailureManager([], card_swap_threshold=None).card_swap_threshold is None
