@@ -23,8 +23,47 @@ Heavy imports happen inside each command handler, so ``report`` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
+
+
+# argparse ``type=`` checks: bad input is a usage error (rc 2) at parse
+# time, not a traceback from inside a run.  The title and resolution
+# tables import numpy, so they load only when their argument is parsed.
+def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {convert.__name__}, got {text!r}"
+            )
+        return value
+    return parse
+
+
+def _vbench_titles(text: str) -> str:
+    from repro.video.vbench import vbench_video
+
+    for name in text.split(","):
+        try:
+            vbench_video(name)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _resolution_name(text: str) -> str:
+    from repro.video.frame import resolution
+
+    try:
+        resolution(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -370,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     table2 = sub.add_parser("table2", help="Table 2 host resources")
-    table2.add_argument("--gpix", type=float, default=153.0)
+    table2.add_argument("--gpix", type=_positive(float), default=153.0)
     table2.set_defaults(func=_cmd_table2)
 
     sub.add_parser("balance", help="Appendix A balance analysis").set_defaults(
@@ -378,24 +417,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bdrate = sub.add_parser("bdrate", help="BD-rate sweep (real encodes)")
-    bdrate.add_argument("--titles", default="desktop,house,holi")
-    bdrate.add_argument("--frames", type=int, default=6)
-    bdrate.add_argument("--proxy-height", type=int, default=54)
+    bdrate.add_argument("--titles", type=_vbench_titles, default="desktop,house,holi")
+    bdrate.add_argument("--frames", type=_positive(int), default=6)
+    bdrate.add_argument("--proxy-height", type=_positive(int), default=54)
     bdrate.set_defaults(func=_cmd_bdrate)
 
     timeline = sub.add_parser("timeline", help="Figure 9 deployment replay")
-    timeline.add_argument("--months", type=int, default=12)
+    timeline.add_argument("--months", type=_positive(int), default=12)
     timeline.add_argument("--seed", type=int, default=5)
-    timeline.add_argument("--horizon", type=float, default=60.0)
+    timeline.add_argument("--horizon", type=_positive(float), default=60.0)
     timeline.set_defaults(func=_cmd_timeline)
 
     live = sub.add_parser("live", help="live-latency comparison")
-    live.add_argument("--duration", type=float, default=120.0)
+    live.add_argument("--duration", type=_positive(float), default=120.0)
     live.set_defaults(func=_cmd_live)
 
     gaming = sub.add_parser("gaming", help="Stadia frame-budget check")
-    gaming.add_argument("--resolution", default="2160p")
-    gaming.add_argument("--fps", type=float, default=60.0)
+    gaming.add_argument("--resolution", type=_resolution_name, default="2160p")
+    gaming.add_argument("--fps", type=_positive(float), default=60.0)
     gaming.set_defaults(func=_cmd_gaming)
 
     report = sub.add_parser("report", help="render a fleet report from a trace")
@@ -428,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this experiment (repeatable; combines with "
              "positional names)",
     )
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive(int), default=1,
                      help="worker processes to shard units across")
     run.add_argument("--cache-dir", default=".repro-cache",
                      help="content-addressed result cache directory")
@@ -446,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "platform",
         help="global-platform-day control-plane scenario (SLO scorecard)",
     )
-    platform.add_argument("--day-seconds", type=float, default=3600.0,
+    platform.add_argument("--day-seconds", type=_positive(float), default=3600.0,
                           help="length of the compressed diurnal cycle")
     platform.add_argument("--seed", type=int, default=11)
     platform.add_argument("--no-outage", action="store_true",
@@ -464,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live streaming-ladder scenario (time-to-first-segment "
              "latency scorecard)",
     )
-    ladder.add_argument("--horizon-seconds", type=float, default=480.0,
+    ladder.add_argument("--horizon-seconds", type=_positive(float), default=480.0,
                         help="virtual seconds of demand to generate")
     ladder.add_argument("--seed", type=int, default=13)
     ladder.add_argument("--no-outage", action="store_true",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Callable, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set,
     Tuple,
@@ -135,10 +136,8 @@ class TranscodeCluster:
         fault_domain: Optional[FaultDomainPolicy] = FaultDomainPolicy(),
         affinity_placement: bool = False,
         affinity_size: int = 3,
-        on_graph_done: Optional[Callable[[StepGraph], None]] = None,
         telemetry_mode: str = "exact",
         telemetry_sample_seconds: float = 5.0,
-        fleet_mode: bool = False,
     ):
         if not 0.0 <= integrity_check_rate <= 1.0:
             raise ValueError("integrity_check_rate must be in [0, 1]")
@@ -173,28 +172,15 @@ class TranscodeCluster:
         #: Invoked with each graph exactly once, at completion time.  The
         #: control plane uses this to close the job-lifecycle loop when a
         #: :class:`~repro.control.plane.ClusterExecutor` backs a site.
-        self.on_graph_done = on_graph_done
+        self.on_graph_done: Optional[Callable[[StepGraph], None]] = None
         #: Invoked once per completed step (streaming-ladder sessions use
         #: this to drive manifest alignment barriers); set post-construction
         #: by :class:`~repro.transcode.streaming.LadderDispatcher`.
         self.on_step_done: Optional[Callable[[Step, bool], None]] = None
         #: When set, segment steps record per-rung queue waits here.
         self.ladder_metrics: Optional[LadderMetrics] = None
-        #: ``fleet_mode`` trades bookkeeping exactness guarantees that
-        #: only hold under the cluster's own APIs for O(1) hot paths at
-        #: 50k-VCU scale: an incrementally maintained availability count
-        #: (fed by worker health hooks and the failure-management
-        #: notifications) replaces the per-placement fleet scan, and the
-        #: throughput window stops retaining per-completion samples.
-        #: Direct mutation of worker/host state from outside those APIs
-        #: must be followed by :meth:`note_availability_changed`.
-        self.fleet_mode = fleet_mode
         self.telemetry_mode = telemetry_mode
-        self.stats = ClusterStats(
-            throughput=ThroughputWindow(
-                start_time=sim.now, keep_samples=not fleet_mode
-            )
-        )
+        self.stats = ClusterStats(throughput=ThroughputWindow(start_time=sim.now))
         # When an observability hub is installed, bind it to this run's
         # virtual clock (and the engine's active-process context) so
         # spans emitted by clockless components -- workers, schedulers,
@@ -234,25 +220,20 @@ class TranscodeCluster:
         for worker in self.vcu_workers:
             if worker.health is HealthState.QUARANTINED:
                 self._note_quarantine(worker)
-        # Fleet-scale bookkeeping: an availability mask/count maintained
-        # at mutation sites instead of recomputed per placement.  Bind-
-        # time quarantines above already happened, so the initial scan
-        # reads settled state.
-        self._avail_mask: Optional[np.ndarray] = None
-        self._available_count = -1
-        if fleet_mode:
-            self._worker_index = {
-                w.name: i for i, w in enumerate(self.vcu_workers)
-            }
-            self._worker_by_vcu = {w.vcu.vcu_id: w for w in self.vcu_workers}
-            self._avail_mask = np.fromiter(
-                (w.available() for w in self.vcu_workers),
-                dtype=bool,
-                count=len(self.vcu_workers),
-            )
-            self._available_count = int(self._avail_mask.sum())
-            for worker in self.vcu_workers:
-                worker.on_availability_change = self.note_availability_changed
+        # Availability is a mask/count maintained at mutation sites (see
+        # note_availability_changed), never recomputed per placement.
+        # Bind-time quarantines above already happened, so the initial
+        # scan reads settled state.
+        self._worker_index = {w.name: i for i, w in enumerate(self.vcu_workers)}
+        self._worker_by_vcu = {w.vcu.vcu_id: w for w in self.vcu_workers}
+        self._avail_mask = np.fromiter(
+            (w.available() for w in self.vcu_workers),
+            dtype=bool,
+            count=len(self.vcu_workers),
+        )
+        self._available_count = int(self._avail_mask.sum())
+        for worker in self.vcu_workers:
+            worker.on_availability_change = self.note_availability_changed
         self._fleet_telemetry: Optional[FleetTelemetry] = None
         if telemetry_mode == "sampled":
             self._fleet_telemetry = FleetTelemetry(
@@ -362,13 +343,13 @@ class TranscodeCluster:
 
     def _place_transcode(self, step: Step, excluded: Set[str]) -> bool:
         task = step.vcu_task
-        if self.fleet_mode and self._available_count > len(excluded):
+        if self._available_count > len(excluded):
             # Pigeonhole: more live workers than excluded names means a
             # usable candidate certainly exists -- skip the O(fleet)
             # scans that only decide emptiness and exclusion resets.
             has_usable = True
         else:
-            candidates = [w for w in self.vcu_workers if w.available()]
+            candidates = list(compress(self.vcu_workers, self._avail_mask))
             usable = [w for w in candidates if w.name not in excluded]
             if candidates and not usable:
                 # Every live VCU is on this step's exclusion list -- e.g.
@@ -718,49 +699,49 @@ class TranscodeCluster:
 
     def on_host_drained(self, host: VcuHost) -> None:
         """A repair started: the host is out of service while the
-        technician works (the failure sweeper notifies us so fleet-mode
-        availability stays exact)."""
+        technician works (the failure sweeper notifies us so the
+        availability mask stays exact)."""
         self._sync_host_availability(host)
 
     def on_vcus_disabled(self, vcu_ids: Iterable[str]) -> None:
         """A telemetry sweep disabled devices outside the health-state
-        machine; re-sync their workers' availability."""
-        if not self.fleet_mode:
-            return
+        machine.  The same sweep may have pushed their hosts past the
+        fault budget -- ``unusable`` with no drain to follow while the
+        repair queue is full -- so re-sync every worker on each host
+        that owns a newly disabled device."""
+        hosts: Dict[str, VcuHost] = {}
         for vcu_id in vcu_ids:
             worker = self._worker_by_vcu.get(vcu_id)
             if worker is not None:
                 self.note_availability_changed(worker)
+                if worker.host is not None:
+                    hosts[worker.host.host_id] = worker.host
+        for host in hosts.values():
+            self._sync_host_availability(host)
 
     def note_availability_changed(self, worker: VcuWorker) -> None:
-        """Re-read one worker's availability into the fleet-mode mask.
+        """Re-read one worker's availability into the mask and count.
 
         Called automatically from the worker health choke point, host
         eviction/repair flows, and the failure sweeper; anything else
         that mutates worker/host serving state directly must call it
-        too, or the fleet-mode count drifts.
+        too, or the count drifts.
         """
+        index = self._worker_index[worker.name]
         mask = self._avail_mask
-        if mask is None:
-            return
-        index = self._worker_index.get(worker.name)
-        if index is None:
-            return
         now_available = worker.available()
         if now_available != bool(mask[index]):
             mask[index] = now_available
             self._available_count += 1 if now_available else -1
 
     def _sync_host_availability(self, host: VcuHost) -> None:
-        if self._avail_mask is None:
-            return
         for vcu in host.vcus:
             worker = self._worker_by_vcu.get(vcu.vcu_id)
             if worker is not None:
                 self.note_availability_changed(worker)
 
-    def availability_mask(self) -> Optional[np.ndarray]:
-        """Fleet-mode availability per vcu worker, or None outside it."""
+    def availability_mask(self) -> np.ndarray:
+        """Availability per vcu worker, in fleet order."""
         return self._avail_mask
 
     # ------------------------------------------------------------------ #
@@ -774,7 +755,7 @@ class TranscodeCluster:
         self._count("cluster.completed_steps")
         if step.is_transcode() and not corrupt:
             megapixels = step.vcu_task.output_pixels / 1e6
-            self.stats.throughput.record(self.sim.now, megapixels)
+            self.stats.throughput.record(megapixels)
             if step.processed_by:
                 per_vcu = self.stats.per_vcu_megapixels
                 per_vcu[step.processed_by] = per_vcu.get(step.processed_by, 0.0) + megapixels
@@ -817,9 +798,9 @@ class TranscodeCluster:
     # Metrics
 
     def _record_utilization(self) -> None:
-        workers = [w for w in self.vcu_workers if w.available()]
-        if not workers:
+        if not self._available_count:
             return
+        workers = list(compress(self.vcu_workers, self._avail_mask))
         encoder = float(np.mean([w.vcu.encoder_utilization() for w in workers]))
         decoder = float(np.mean([w.vcu.decoder_utilization() for w in workers]))
         self.encoder_util.record(self.sim.now, encoder)
@@ -836,6 +817,4 @@ class TranscodeCluster:
             self._fleet_telemetry.flush()
 
     def healthy_vcu_count(self) -> int:
-        if self.fleet_mode:
-            return self._available_count
-        return sum(1 for w in self.vcu_workers if w.available())
+        return self._available_count

@@ -7,8 +7,7 @@ instruments live; it is re-exported here for compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 from repro.obs.registry import UtilizationTracker
 
@@ -17,25 +16,15 @@ __all__ = ["UtilizationTracker", "ThroughputWindow"]
 
 @dataclass
 class ThroughputWindow:
-    """Accumulates output megapixels and exposes Mpix/s over the run.
-
-    ``keep_samples=False`` drops the per-completion ``(time, megapixels)``
-    series while keeping every aggregate: at fleet scale a multi-hour day
-    completes millions of steps, and retaining a tuple per completion is
-    the cluster's largest allocation.
-    """
+    """Accumulates output megapixels and exposes Mpix/s over the run."""
 
     start_time: float = 0.0
     total_megapixels: float = 0.0
     completions: int = 0
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-    keep_samples: bool = True
 
-    def record(self, now: float, megapixels: float) -> None:
+    def record(self, megapixels: float) -> None:
         self.total_megapixels += megapixels
         self.completions += 1
-        if self.keep_samples:
-            self.samples.append((now, megapixels))
 
     def mpix_per_second(self, now: float) -> float:
         span = now - self.start_time

@@ -55,7 +55,9 @@ class FleetTelemetry:
         self.cluster = cluster
         self.sample_seconds = sample_seconds
         workers = cluster.vcu_workers
-        self._index: Dict[str, int] = {w.name: i for i, w in enumerate(workers)}
+        # The cluster's name -> fleet row map, so rows line up with its
+        # availability mask.
+        self._index = cluster._worker_index
         n = len(workers)
         self._enc_cap = np.empty(n, dtype=np.float64)
         self._dec_cap = np.empty(n, dtype=np.float64)
@@ -111,22 +113,11 @@ class FleetTelemetry:
                 self._running = False
                 return
 
-    def _availability_mask(self) -> np.ndarray:
-        cluster = self.cluster
-        mask = cluster.availability_mask()
-        if mask is not None:
-            return mask
-        return np.fromiter(
-            (w.available() for w in cluster.vcu_workers),
-            dtype=bool,
-            count=len(cluster.vcu_workers),
-        )
-
     def flush(self) -> None:
         """Push the aggregate view into the exact path's sinks."""
         cluster = self.cluster
         now = cluster.sim.now
-        mask = self._availability_mask()
+        mask = cluster.availability_mask()
         live = int(mask.sum())
         if live:
             encoder = float(np.mean(self._enc_used[mask] / self._enc_cap[mask]))

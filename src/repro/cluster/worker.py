@@ -88,8 +88,8 @@ class VcuWorker(Worker):
         self.strikes = 0
         self.rescreen_failures = 0
         #: Optional observer invoked (with this worker) after every health
-        #: transition -- the fleet-mode cluster keeps its availability
-        #: count exact through this hook instead of rescanning the fleet.
+        #: transition -- the owning cluster keeps its availability count
+        #: exact through this hook instead of rescanning the fleet.
         self.on_availability_change: Optional[Callable[["VcuWorker"], None]] = None
         if host_multiplier is None:
             host_multiplier = 1.0 if numa_aware else 1.0 / 1.20

@@ -27,7 +27,7 @@ is that layer for the simulated fleet:
 * :mod:`repro.control.canary` -- the firmware canary-rollout scenario
   (stage, detect regression from scorecards, roll back or promote).
 * :mod:`repro.control.chaos` -- the correlated-outage chaos campaign
-  (blast radius x repair capacity on a fleet-mode cluster).
+  (blast radius x repair capacity on a sampled-telemetry cluster).
 * :mod:`repro.control.surge` -- popularity-surge / live-mix-shift
   demand disturbances over the platform-day machinery.
 

@@ -7,14 +7,14 @@ hosts out at once while the repair pipeline can only drain and re-card
 a bounded number of them concurrently.  This campaign sweeps blast
 radius (hosts hit by a simultaneous ECC storm) against repair capacity
 (the :class:`~repro.failures.management.FailureManager` concurrency
-cap) on a fleet-mode cluster driven by the bucketed calendar engine,
-with a regional power outage layered mid-run for good measure.
+cap) on a sampled-telemetry cluster driven by the bucketed calendar
+engine, with a regional power outage layered mid-run for good measure.
 
 Two invariants are scored per arm and gated in CI:
 
 * **conservation** -- every submitted job completes despite disables,
   drains, and repairs (retries and CPU fallback absorb the blast);
-* **availability bookkeeping** -- the incremental fleet-mode healthy-VCU
+* **availability bookkeeping** -- the cluster's incremental healthy-VCU
   counter exactly matches a full recount at drain.
 
 As with every catalog scenario the run is a pure function of
@@ -203,7 +203,6 @@ def run_chaos_campaign(
     ]
     cluster = TranscodeCluster(
         sim, workers, cpus,
-        fleet_mode=True,
         telemetry_mode="sampled",
         telemetry_sample_seconds=15.0,
         seed=split_rng(seed, "chaos/cluster"),

@@ -171,7 +171,7 @@ class FailureSweeper:
             self.sweeps += 1
             if newly_disabled and self.cluster is not None:
                 # Sweep disables bypass the worker health machine; tell
-                # the cluster so fleet-mode availability stays exact.
+                # the cluster so its availability mask stays exact.
                 self.cluster.on_vcus_disabled(newly_disabled)
             hub = obs.active()
             if hub is not None:

@@ -14,10 +14,10 @@ very different speed):
 * the batched transform kernels, reported as absolute throughput.
 
 ``bench_fleet`` is the end-to-end face of the same work: a 50k-VCU
-cluster (``fleet_mode=True``, sampled telemetry) runs a multi-hour
-simulated day -- uploads arriving continuously, the failure sweeper
-disabling and repairing devices underneath -- and reports how many
-simulated seconds each wall second buys.
+cluster with sampled telemetry runs a multi-hour simulated day --
+uploads arriving continuously, the failure sweeper disabling and
+repairing devices underneath -- and reports how many simulated seconds
+each wall second buys.
 
 ``repro-bench perf`` runs everything and writes ``BENCH_PR8.json`` so CI
 can archive the numbers per commit; ``--smoke`` shrinks the workload for
@@ -241,10 +241,10 @@ def bench_calendar(smoke: bool = False, repeats: int = 3) -> Dict[str, Dict]:
 def bench_fleet(smoke: bool = False, full_scale: bool = False) -> Dict[str, object]:
     """A day in the life of the fleet, end to end.
 
-    Builds a ``fleet_mode`` cluster with sampled telemetry, submits an
-    upload stream for a multi-hour simulated day, and runs the failure
-    sweeper underneath (hard faults disabling VCUs, capped repairs
-    returning them).  The headline number is ``sim_seconds_per_wall_s``:
+    Builds a cluster with sampled telemetry, submits an upload stream
+    for a multi-hour simulated day, and runs the failure sweeper
+    underneath (hard faults disabling VCUs, capped repairs returning
+    them).  The headline number is ``sim_seconds_per_wall_s``:
     how much fleet time one wall second simulates.  ``full_scale`` is the
     paper-scale configuration -- 2500 hosts x 20 VCUs = 50,000 devices.
     """
@@ -275,7 +275,6 @@ def bench_fleet(smoke: bool = False, full_scale: bool = False) -> Dict[str, obje
         sim,
         vcu_workers,
         cpu_workers,
-        fleet_mode=True,
         telemetry_mode="sampled",
         telemetry_sample_seconds=15.0,
         seed=8,

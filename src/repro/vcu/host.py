@@ -92,20 +92,6 @@ class VcuHost:
         """Host-level efficiency: NUMA-oblivious scheduling costs ~17%."""
         return 1.0 if self.numa_aware else 1.0 / self.host_spec.numa_penalty
 
-    def record_component_fault(self) -> None:
-        """A chassis/cable/PSU-level fault; enough of them disables the host."""
-        self.component_faults += 1
-        if self.component_faults >= self.fault_budget:
-            self.unusable = True
-
-    def disable_vcu(self, vcu_id: str) -> None:
-        """Disable one VCU (independent power rails make this possible)."""
-        for vcu in self.vcus:
-            if vcu.vcu_id == vcu_id:
-                vcu.disable()
-                return
-        raise KeyError(f"no VCU {vcu_id!r} on host {self.host_id}")
-
     def sweep_telemetry(self) -> List[Vcu]:
         """Disable any VCU whose fault counters crossed a threshold.
 

@@ -3,6 +3,7 @@
 Every handler must return its own rc (``main`` forwards it), the ``run``
 subcommand must produce a parseable manifest plus a warm-cache second
 invocation, and the historical perf/report paths keep their contracts.
+Out-of-range arguments are usage errors (rc 2), never tracebacks.
 """
 
 from __future__ import annotations
@@ -81,3 +82,30 @@ class TestReportSubcommand:
     def test_missing_trace_rc2(self, workdir, capsys):
         assert main(["report", "missing.jsonl"]) == 2
         assert "cannot read trace" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["platform", "--day-seconds", "0"],
+        ["ladder", "--horizon-seconds", "-5"],
+        ["timeline", "--months", "0"],
+        ["timeline", "--horizon", "0"],
+        ["live", "--duration", "-1"],
+        ["bdrate", "--titles", "nope"],
+        ["bdrate", "--frames", "0"],
+        ["gaming", "--resolution", "999p"],
+        ["gaming", "--fps", "nan"],
+        ["table2", "--gpix", "0"],
+        ["run", "--jobs", "0"],
+    ], ids=lambda argv: argv[0] + argv[1])
+    def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        command, flag, value = argv
+        assert err.splitlines()[-1].startswith(
+            f"repro-bench {command}: error: argument {flag}: "
+        )
+        assert repr(value) in err.splitlines()[-1]

@@ -43,17 +43,11 @@ class TestUtilizationTracker:
 class TestThroughputWindow:
     def test_accumulates(self):
         window = ThroughputWindow(start_time=0.0)
-        window.record(1.0, 100.0)
-        window.record(2.0, 300.0)
+        window.record(100.0)
+        window.record(300.0)
         assert window.total_megapixels == 400.0
         assert window.completions == 2
         assert window.mpix_per_second(4.0) == pytest.approx(100.0)
-
-    def test_samples_kept_in_order(self):
-        window = ThroughputWindow()
-        window.record(1.0, 10.0)
-        window.record(3.0, 20.0)
-        assert window.samples == [(1.0, 10.0), (3.0, 20.0)]
 
     def test_zero_span(self):
         window = ThroughputWindow(start_time=5.0)

@@ -9,8 +9,8 @@ from repro.cluster.metrics import ThroughputWindow
 class TestClusterStats:
     def test_per_vcu_rate(self):
         stats = ClusterStats(throughput=ThroughputWindow(start_time=0.0))
-        stats.throughput.record(10.0, 500.0)
-        stats.throughput.record(20.0, 500.0)
+        stats.throughput.record(500.0)
+        stats.throughput.record(500.0)
         assert stats.per_vcu_mpix_per_second(now=20.0, vcu_count=5) == pytest.approx(10.0)
 
     def test_per_vcu_rate_guards(self):

@@ -1,15 +1,17 @@
-"""Fleet-mode hot paths: batch placement and O(1) availability.
+"""Cluster hot paths: batch placement and O(1) availability.
 
-PR8's cluster-layer amortizations trade per-placement scans for cached
-and incrementally maintained state.  These tests pin the equivalence
-claims down:
+The cluster layer trades per-placement scans for cached and
+incrementally maintained state.  These tests pin the equivalence claims
+down:
 
 * :meth:`BinPackingScheduler.place_batch` (and the :meth:`batch` context
   generally) returns exactly the workers the unbatched sequential path
   would, across generated request streams with interleaved releases.
-* A ``fleet_mode`` cluster's incremental availability count/mask agrees
-  with the ground-truth fleet scan at every observation point, through
-  quarantines, rehabilitation, sweep disables, host drains and repairs.
+* The cluster's incremental availability count/mask -- its only
+  availability path -- agrees with the ground-truth fleet scan at every
+  observation point, through quarantines, rehabilitation, sweep
+  disables, host drains and repairs, including a sweep that takes a
+  host past its fault budget while the capped repair queue is full.
 * ``telemetry_mode="sampled"`` buffers observations but delivers the
   *same* final graph-latency histogram as the exact path (bucket
   increments commute), while actually flushing at sample boundaries.
@@ -30,6 +32,7 @@ from repro.transcode import PopularityBucket, build_transcode_graph
 from repro.vcu.chip import Vcu
 from repro.vcu.host import VcuHost
 from repro.vcu.spec import DEFAULT_VCU_SPEC
+from repro.vcu.telemetry import FaultKind
 from repro.video.frame import resolution
 
 SHAPES = [
@@ -107,9 +110,7 @@ def _fleet_cluster(sim, hosts_n=3, **kwargs):
         VcuWorker(vcu, host=host) for host in hosts for vcu in host.vcus
     ]
     cpu_workers = [CpuWorker(cores=16) for _ in range(2)]
-    cluster = TranscodeCluster(
-        sim, workers, cpu_workers, fleet_mode=True, seed=5, **kwargs
-    )
+    cluster = TranscodeCluster(sim, workers, cpu_workers, seed=5, **kwargs)
     return hosts, cluster
 
 
@@ -120,11 +121,15 @@ def _upload(video_id):
     )
 
 
+def _scan(cluster):
+    return sum(1 for w in cluster.vcu_workers if w.available())
+
+
 def _assert_count_exact(cluster):
-    truth = sum(1 for w in cluster.vcu_workers if w.available())
+    truth = _scan(cluster)
     assert cluster._available_count == truth
     mask = cluster.availability_mask()
-    assert mask is not None and int(mask.sum()) == truth
+    assert int(mask.sum()) == truth
     for worker, bit in zip(cluster.vcu_workers, mask):
         assert bool(bit) == worker.available()
 
@@ -169,8 +174,7 @@ class TestFleetAvailability:
         def monitor():
             while sim.now + 45.0 <= 3600.0:
                 yield 45.0
-                truth = sum(1 for w in cluster.vcu_workers if w.available())
-                checks.append((sim.now, cluster._available_count, truth))
+                checks.append((sim.now, cluster._available_count, _scan(cluster)))
 
         sim.process(monitor(), name="fleet-monitor")
         sim.run()
@@ -181,6 +185,50 @@ class TestFleetAvailability:
         # The storm actually exercised the mutation paths.
         assert cluster.stats.workers_quarantined > 0
         assert sweeper.sweeps > 0
+
+    def test_sweep_past_fault_budget_with_repair_queue_full(self):
+        """A sweep can push a host past its fault budget while the capped
+        repair queue is full: the host turns unusable with no drain to
+        announce it.  The count must still equal a scan after every
+        sweep, and an upload submitted then must fall back to software
+        instead of waiting out a repair for VCUs that are gone."""
+        sim = Simulator()
+        hosts, cluster = _fleet_cluster(sim, hosts_n=2)
+        injector = FaultInjector(sim, [v for h in hosts for v in h.vcus])
+        for at, host in ((10.0, hosts[0]), (70.0, hosts[1])):
+            injector.correlated_host_fault(
+                at, host, kind=FaultKind.ECC_UNCORRECTABLE,
+                vcu_count=host.fault_budget, count_per_vcu=3,
+            )
+        repair_seconds = 900.0
+        manager = FailureManager(hosts, repair_cap=1)
+        sweeper = FailureSweeper(
+            sim, manager, interval_seconds=60.0, repair_seconds=repair_seconds,
+            cluster=cluster,
+        )
+        sweeper.start(until=600.0)
+        checks = []
+
+        def monitor():
+            yield 1.0  # read each sweep's outcome once its drains ran
+            for _ in range(10):
+                yield 60.0
+                checks.append((sim.now, cluster.healthy_vcu_count(), _scan(cluster)))
+
+        sim.process(monitor(), name="sweep-monitor")
+        graph = _upload("drift-v0")
+        sim.call_at(130.0, lambda: cluster.submit(graph))
+        sim.run()
+        assert sweeper.sweeps == len(checks) == 10
+        for at, counted, truth in checks:
+            assert counted == truth, f"count drifted at t={at}"
+        # Host 1 went unusable at the second sweep with host 0 still in
+        # repair, so its repair never started.
+        assert checks[1][2] == 0
+        assert sweeper.repairs_started == 1
+        assert graph.completed_at is not None
+        assert cluster.stats.software_fallbacks > 0
+        assert graph.completed_at - graph.submitted_at < repair_seconds / 10
 
     def test_healthy_vcu_count_uses_incremental_count(self):
         sim = Simulator()
