@@ -26,6 +26,9 @@ Per-file rules (each guards an invariant another subsystem depends on):
   never tolerance comparisons.
 * ``hygiene``           -- no mutable default arguments, no bare
   ``except:``.
+* ``capacity-through-scheduler`` -- in the packages that hold workers,
+  VCUs and resources, ``try_admit``/``acquire``/``release`` are called
+  only on a scheduler, which keeps the scheduler's rows exact.
 
 Whole-program passes (see :mod:`repro.analysis.project`) run over the
 full source tree and land findings in ordinary files:

@@ -21,6 +21,7 @@ __all__ = [
     "OrderedIterationRule",
     "FloatParityRule",
     "HygieneRule",
+    "CapacityThroughSchedulerRule",
 ]
 
 
@@ -655,3 +656,71 @@ class HygieneRule(Rule):
             if dotted in self.MUTABLE_CALLS:
                 return f"{dotted}()"
         return None
+
+
+# --------------------------------------------------------------------- #
+# capacity-through-scheduler
+
+
+@register
+class CapacityThroughSchedulerRule(Rule):
+    """Capacity moves only through a scheduler.
+
+    ``BinPackingScheduler`` keeps its availability rows exact by
+    re-reading a worker's row after every admit and release it makes;
+    it never rescans the fleet before rejecting.  An admit or release
+    on a worker, VCU or ``MultiResource`` that goes around the scheduler
+    leaves a row stale -- a release makes it *pessimistic*, and the
+    scheduler then rejects work that fits -- and the cluster's
+    utilization table is stale the same way.  So in the packages that
+    hold workers, VCUs and resources, every ``try_admit``/``acquire``/
+    ``release`` call must be made on a scheduler (a receiver whose last
+    name ends in ``scheduler``).  The scheduler itself and the wrapper
+    modules it calls through are exempt; ``MultiResource``'s own module
+    (``sim/resources.py``) and tests lie outside the scope.
+    """
+
+    id = "capacity-through-scheduler"
+    summary = (
+        "try_admit/acquire/release on workers, VCUs and resources only "
+        "through a scheduler"
+    )
+    include = (
+        "src/repro/cluster/*",
+        "src/repro/control/*",
+        "src/repro/failures/*",
+        "src/repro/vcu/*",
+        "src/repro/perfbench.py",
+    )
+    exclude = (
+        "src/repro/cluster/scheduler.py",
+        "src/repro/cluster/worker.py",
+        "src/repro/vcu/chip.py",
+    )
+
+    CAPACITY_CALLS = frozenset({"try_admit", "acquire", "release"})
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self.CAPACITY_CALLS
+            ):
+                continue
+            receiver = node.func.value
+            if isinstance(receiver, ast.Attribute):
+                name = receiver.attr
+            elif isinstance(receiver, ast.Name):
+                name = receiver.id
+            else:
+                name = ""
+            if name.endswith("scheduler"):
+                continue
+            yield ctx.finding(
+                self.id, node,
+                f"'{name or '<expr>'}.{node.func.attr}()' moves capacity "
+                "around the scheduler, whose rows stay exact only if every "
+                "admit and release is its own; use place() and "
+                "scheduler.release()",
+            )

@@ -31,18 +31,29 @@ from typing import Any, Callable, List, Optional
 # argparse ``type=`` checks: bad input is a usage error (rc 2) at parse
 # time, not a traceback from inside a run.  The title and resolution
 # tables import numpy, so they load only when their argument is parsed.
-def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+def _checked(
+    convert: Callable[[str], Any], accept: Callable[[Any], bool], expected: str
+) -> Callable[[str], Any]:
     def parse(text: str) -> Any:
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"expected a positive {convert.__name__}, got {text!r}"
-            )
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
+
+
+def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    return _checked(
+        convert, lambda value: 0 < value < math.inf,
+        f"a positive {convert.__name__}",
+    )
+
+
+_rate = _checked(float, lambda value: 0 <= value < math.inf, "a float >= 0")
+_probability = _checked(float, lambda value: 0 <= value < 1, "a float in [0, 1)")
 
 
 def _vbench_titles(text: str) -> str:
@@ -289,12 +300,16 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
     from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
 
-    config = LiveLadderConfig(
-        horizon_seconds=args.horizon_seconds,
-        outage=not args.no_outage,
-        hang_rate_per_hour=args.hang_rate,
-        corruption_rate_per_hour=args.corruption_rate,
-    )
+    try:
+        config = LiveLadderConfig(
+            horizon_seconds=args.horizon_seconds,
+            outage=not args.no_outage,
+            hang_rate_per_hour=args.hang_rate,
+            corruption_rate_per_hour=args.corruption_rate,
+        )
+    except ValueError as exc:
+        print(f"ladder: {exc}", file=sys.stderr)
+        return 2
     result = run_live_ladder(config, seed=args.seed)
     if args.json:
         print(json.dumps(result.scorecard, indent=2, sort_keys=True))
@@ -490,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     platform.add_argument("--seed", type=int, default=11)
     platform.add_argument("--no-outage", action="store_true",
                           help="run the control arm (no regional outage)")
-    platform.add_argument("--failure-rate", type=float, default=0.02,
+    platform.add_argument("--failure-rate", type=_probability, default=0.02,
                           help="per-attempt execution fault probability")
     platform.add_argument("--json", action="store_true",
                           help="print the scorecard as JSON")
@@ -508,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     ladder.add_argument("--seed", type=int, default=13)
     ladder.add_argument("--no-outage", action="store_true",
                         help="skip the mid-run regional outage")
-    ladder.add_argument("--hang-rate", type=float, default=0.0,
+    ladder.add_argument("--hang-rate", type=_rate, default=0.0,
                         help="VCU hangs per VCU-hour")
-    ladder.add_argument("--corruption-rate", type=float, default=0.0,
+    ladder.add_argument("--corruption-rate", type=_rate, default=0.0,
                         help="VCU corruptions per VCU-hour")
     ladder.add_argument("--json", action="store_true",
                         help="print the scorecard as JSON")

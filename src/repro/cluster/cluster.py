@@ -234,6 +234,21 @@ class TranscodeCluster:
         self._available_count = int(self._avail_mask.sum())
         for worker in self.vcu_workers:
             worker.on_availability_change = self.note_availability_changed
+        # The utilization table: each VCU worker's encoder and decoder
+        # utilization, in the same fleet rows as the mask.  Only an admit
+        # or a release changes a worker's usage, and each re-reads just
+        # that worker (_reread_utilization), so recording a fleet mean
+        # reads the table, not the workers.
+        self._encoder_util_rows = np.fromiter(
+            (w.vcu.encoder_utilization() for w in self.vcu_workers),
+            dtype=np.float64,
+            count=len(self.vcu_workers),
+        )
+        self._decoder_util_rows = np.fromiter(
+            (w.vcu.decoder_utilization() for w in self.vcu_workers),
+            dtype=np.float64,
+            count=len(self.vcu_workers),
+        )
         self._fleet_telemetry: Optional[FleetTelemetry] = None
         if telemetry_mode == "sampled":
             self._fleet_telemetry = FleetTelemetry(
@@ -452,11 +467,12 @@ class TranscodeCluster:
         duration = worker.step_seconds(step.vcu_task, request)
         started = self.sim.now
         self._record_queue_wait(step)
+        self._reread_utilization(worker)
         telemetry = self._fleet_telemetry
         if telemetry is None:
             self._record_utilization()
         else:
-            telemetry.note_admit(worker.name, request)
+            telemetry.note_admit()
 
         def execute() -> Generator:
             yield duration
@@ -478,10 +494,11 @@ class TranscodeCluster:
                 yield work.done
                 index = 0
             self.vcu_scheduler.release(worker, request)
+            self._reread_utilization(worker)
             if telemetry is None:
                 self._record_utilization()
             else:
-                telemetry.note_release(worker.name, request)
+                telemetry.note_release()
             if index == 0:
                 if timer is not None:
                     timer.cancel()
@@ -797,12 +814,30 @@ class TranscodeCluster:
     # ------------------------------------------------------------------ #
     # Metrics
 
+    def _reread_utilization(self, worker: VcuWorker) -> None:
+        """Refresh one worker's row of the utilization table."""
+        index = self._worker_index[worker.name]
+        self._encoder_util_rows[index] = worker.vcu.encoder_utilization()
+        self._decoder_util_rows[index] = worker.vcu.decoder_utilization()
+
     def _record_utilization(self) -> None:
-        if not self._available_count:
+        """Record the live fleet's mean encoder and decoder utilization.
+
+        The mean runs over the table rows the availability mask selects,
+        in fleet order -- the same values, order and reduction as a walk
+        calling ``encoder_utilization()`` on every live worker, so the
+        recorded floats are identical to that walk's.
+        """
+        live = self._available_count
+        if not live:
             return
-        workers = list(compress(self.vcu_workers, self._avail_mask))
-        encoder = float(np.mean([w.vcu.encoder_utilization() for w in workers]))
-        decoder = float(np.mean([w.vcu.decoder_utilization() for w in workers]))
+        encoder_rows = self._encoder_util_rows
+        decoder_rows = self._decoder_util_rows
+        if live < len(encoder_rows):
+            encoder_rows = encoder_rows[self._avail_mask]
+            decoder_rows = decoder_rows[self._avail_mask]
+        encoder = float(np.mean(encoder_rows))
+        decoder = float(np.mean(decoder_rows))
         self.encoder_util.record(self.sim.now, encoder)
         self.decoder_util.record(self.sim.now, decoder)
         hub = obs.active()

@@ -17,8 +17,11 @@ n_dims)`` array and computes the set of fitting workers with a handful
 of vectorized comparisons (replicating ``MultiResource.fits`` -- same
 epsilon, same missing-dimension rule); the single-slot model keeps a
 sorted free list.  ``worker.try_admit`` stays authoritative: the index
-is a pre-filter, refreshed from worker ground truth on every admission
-and release the scheduler observes, so placements are identical to the
+is a pre-filter whose rows are exact by contract -- each row is re-read
+from worker ground truth after every admission and release the
+scheduler makes, and :meth:`BinPackingScheduler.release` is the only way
+capacity comes back (the ``capacity-through-scheduler`` lint rule
+enforces that statically).  Placements are therefore identical to the
 pre-index linear scan (preserved as :meth:`BinPackingScheduler.place_scan`
 for the equivalence suite and the perf harness).
 """
@@ -120,20 +123,6 @@ class _ShapeCache:
         self.dead: Set[int] = set()
 
 
-class _BatchState:
-    """Shared cache for one placement batch (see ``batch()``)."""
-
-    __slots__ = ("shapes", "refreshed")
-
-    def __init__(self):
-        self.shapes: Dict[Tuple, _ShapeCache] = {}
-        self.refreshed = False
-
-    def invalidate(self) -> None:
-        self.shapes.clear()
-        self.refreshed = False
-
-
 class BinPackingScheduler:
     """Online multi-dimensional bin packing over an availability cache.
 
@@ -141,12 +130,13 @@ class BinPackingScheduler:
     capacity per named dimension: workers without a ``resources``
     attribute (test shims) carry ``+inf`` rows (always candidates,
     ``try_admit`` decides), dimensions a worker lacks carry ``-inf``
-    (never fit, matching ``MultiResource.fits``).  Rows may only ever
-    be *optimistic* -- an admission the scheduler did not observe makes
-    ``try_admit`` reject and the scan continue, which is exactly what
-    the linear scan did.  A release the scheduler did not observe would
-    make a row pessimistic, so a fruitless indexed pass refreshes every
-    row from ground truth and rescans once before reporting a rejection.
+    (never fit, matching ``MultiResource.fits``).  Rows are exact after
+    every admit and release the scheduler makes, and :meth:`release` is
+    the only way capacity comes back, so a row is never *pessimistic*
+    and a fruitless pass is a real rejection.  Rows may turn
+    *optimistic* -- :meth:`place_scan` admits without touching them --
+    and that is tolerated: ``try_admit`` rejects and the scan continues,
+    which is exactly what the linear scan did.
     """
 
     def __init__(self, workers: Sequence[PlaceableWorker]):
@@ -162,7 +152,8 @@ class BinPackingScheduler:
         self._dim_index: Dict[str, int] = {}
         self._avail = np.empty((0, 0), dtype=np.float64)
         self._unindexed = np.empty(0, dtype=bool)  # workers w/o .resources
-        self._batch: Optional[_BatchState] = None
+        #: Per-request-shape caches of the open :meth:`batch`, if any.
+        self._batch: Optional[Dict[Tuple, _ShapeCache]] = None
         self._rebuild_index()
 
     @property
@@ -171,7 +162,7 @@ class BinPackingScheduler:
 
     def add_worker(self, worker: PlaceableWorker) -> None:
         if self._batch is not None:
-            self._batch.invalidate()
+            self._batch.clear()
         self._workers.append(worker)
         self._by_name[worker.name] = len(self._workers) - 1
         resources = getattr(worker, "resources", None)
@@ -188,7 +179,7 @@ class BinPackingScheduler:
 
     def remove_worker(self, worker: PlaceableWorker) -> None:
         if self._batch is not None:
-            self._batch.invalidate()
+            self._batch.clear()
         self._workers.remove(worker)
         self._by_name = {w.name: i for i, w in enumerate(self._workers)}
         self._rebuild_index()
@@ -231,12 +222,10 @@ class BinPackingScheduler:
             row[j] = available.get(dim, -np.inf)
 
     def refresh(self) -> None:
-        """Re-sync every row (external admissions/releases happened)."""
+        """Re-read every row from ground truth: the one explicit re-sync,
+        for a caller that moved capacity without :meth:`release`."""
         if self._batch is not None:
-            self._batch.invalidate()
-        self._refresh_all_rows()
-
-    def _refresh_all_rows(self) -> None:
+            self._batch.clear()
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
@@ -275,20 +264,15 @@ class BinPackingScheduler:
         it already failed on (Section 4.4's fault-correlation retries).
         ``preference`` front-loads the probe order (chunk affinity).
 
-        Inside a :meth:`batch` context the fit mask and candidate order
-        are cached per request shape and the fruitless full refresh runs
-        at most once per batch; decisions are identical to the unbatched
-        path (see the batch-amortization notes on :meth:`batch`).
+        Rows are exact (see the class docstring), so a pass that admits
+        nowhere is the rejection.  Inside a :meth:`batch` context the fit
+        mask and candidate order are cached per request shape; decisions
+        are identical to the unbatched path (see the batch-amortization
+        notes on :meth:`batch`).
         """
         batch = self._batch
         if batch is None:
             worker = self._place_indexed(request, excluded, preference)
-            if worker is None:
-                # The index can only miss a fitting worker if resources
-                # were released behind its back; re-sync and rescan
-                # before rejecting.
-                self._refresh_all_rows()
-                worker = self._place_indexed(request, excluded, preference)
         else:
             worker = self._place_batched(batch, request, excluded, preference)
         if worker is not None:
@@ -304,14 +288,14 @@ class BinPackingScheduler:
 
         Batch amortization is sound because every event that could make
         a cached view *pessimistic* (miss a worker that actually fits)
-        invalidates the cache: observed releases, worker add/remove, and
-        external :meth:`refresh` all clear it.  The remaining drift is
-        *optimistic* -- admits inside the batch shrink real availability
-        below the cached mask -- and ``try_admit`` stays authoritative,
-        so a stale candidate is probed once, rejected, and marked dead
-        for the rest of the batch (availability for a shape can only
-        keep shrinking until the next invalidation).  First-fit order is
-        untouched; the batch path returns exactly the worker the
+        invalidates the cache: releases (the only way capacity comes
+        back), worker add/remove, and :meth:`refresh` all clear it.  The
+        remaining drift is *optimistic* -- admits inside the batch shrink
+        real availability below the cached mask -- and ``try_admit`` stays
+        authoritative, so a stale candidate is probed once, rejected, and
+        marked dead for the rest of the batch (availability for a shape
+        can only keep shrinking until the next invalidation).  First-fit
+        order is untouched; the batch path returns exactly the worker the
         unbatched path would.
 
         Nested ``batch()`` contexts join the outermost batch.
@@ -319,7 +303,7 @@ class BinPackingScheduler:
         if self._batch is not None:
             yield
             return
-        self._batch = _BatchState()
+        self._batch = {}
         try:
             yield
         finally:
@@ -339,29 +323,17 @@ class BinPackingScheduler:
 
     def _place_batched(
         self,
-        batch: _BatchState,
+        batch: Dict[Tuple, _ShapeCache],
         request: Dict[str, float],
         excluded: Set[str],
         preference: Optional[Sequence[str]],
     ) -> Optional[PlaceableWorker]:
         key = tuple(sorted(request.items()))
-        entry = batch.shapes.get(key)
+        entry = batch.get(key)
         if entry is None:
             entry = _ShapeCache(self._fit_mask(request))
-            batch.shapes[key] = entry
-        worker = self._scan_shape(entry, request, excluded, preference)
-        if worker is None and not batch.refreshed:
-            # Same recovery as the unbatched path, once per batch: an
-            # unobserved release may have made rows pessimistic.
-            batch.refreshed = True
-            self._refresh_all_rows()
-            # The refresh may have *raised* rows, so every cached shape
-            # is suspect, not just this one.
-            batch.shapes.clear()
-            entry = _ShapeCache(self._fit_mask(request))
-            batch.shapes[key] = entry
-            worker = self._scan_shape(entry, request, excluded, preference)
-        return worker
+            batch[key] = entry
+        return self._scan_shape(entry, request, excluded, preference)
 
     def _scan_shape(
         self,
@@ -483,13 +455,16 @@ class BinPackingScheduler:
     def release(
         self, worker: PlaceableWorker, request: Dict[str, float]
     ) -> None:
-        """Release a placed request and keep the availability index fresh."""
+        """Release a placed request and re-read its worker's row.
+
+        The only way capacity comes back, which is what keeps rows exact.
+        """
         worker.release(request)  # type: ignore[attr-defined]
         if self._batch is not None:
             # A release can make cached batch masks pessimistic (a worker
             # they exclude now fits); drop them so the next placement
             # recomputes against ground truth.
-            self._batch.invalidate()
+            self._batch.clear()
         index = self._by_name.get(worker.name)
         if index is not None and self._workers[index] is worker:
             self._refresh_row(index)

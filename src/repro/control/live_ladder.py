@@ -124,6 +124,17 @@ class LiveLadderConfig:
             raise ValueError(
                 f"outage_region {self.outage_region!r} not in {self.regions}"
             )
+        if self.hang_rate_per_hour < 0 or self.corruption_rate_per_hour < 0:
+            raise ValueError("fault rates must be >= 0")
+        outage_seconds = self.outage_duration_frac * self.horizon_seconds
+        last_onset = (self.hosts_per_region - 1) * self.outage_stagger_seconds
+        if self.outage and last_onset >= outage_seconds:
+            raise ValueError(
+                f"the outage's stagger puts the last host's onset at"
+                f" +{last_onset:g} s, past the {outage_seconds:g} s outage"
+                " (outage_duration_frac x horizon_seconds); lengthen the"
+                " horizon or shorten the stagger"
+            )
 
     def rung_names(self) -> Tuple[str, ...]:
         return tuple(r.name for r in output_ladder(resolution(self.live_source)))

@@ -238,6 +238,7 @@ class TestDriver:
         assert {r.id for r in first} == {
             "determinism", "determinism-taint", "obs-hook", "sim-yield",
             "ordered-iteration", "float-parity", "hygiene",
+            "capacity-through-scheduler",
         }
         assert all(a is not b for a, b in zip(first, second))
 

@@ -460,3 +460,53 @@ class TestHygieneRule:
         )
         assert findings == []
         assert suppressed == 1
+
+
+# --------------------------------------------------------------------- #
+# capacity-through-scheduler
+
+
+class TestCapacityThroughSchedulerRule:
+    def test_flags_admits_and_releases_around_the_scheduler(self):
+        findings, _ = lint(
+            """\
+            def drill(worker, vcu, request):
+                worker.release(request)
+                vcu.try_admit(request)
+                worker.vcu.resources.acquire(request)
+            """
+        )
+        assert lines(findings, "capacity-through-scheduler") == [2, 3, 4]
+
+    def test_scheduler_calls_are_clean(self):
+        findings, _ = lint(
+            """\
+            class Cluster:
+                def finish(self, worker, request):
+                    self.vcu_scheduler.release(worker, request)
+            """
+        )
+        assert findings == []
+
+    def test_out_of_scope_paths_are_ignored(self):
+        barrier = """\
+            class Dispatcher:
+                def segment_done(self, index, now):
+                    self.assembler.release(index, at=now)
+            """
+        assert lint(barrier, path="src/repro/transcode/fake.py")[0] == []
+        direct = """\
+            def test_release(worker, request):
+                worker.release(request)
+            """
+        assert lint(direct, path="tests/test_fake.py")[0] == []
+
+    def test_pragma_suppresses(self):
+        findings, suppressed = lint(
+            """\
+            def drill(worker, request):
+                worker.release(request)  # lint: allow=capacity-through-scheduler -- drill
+            """
+        )
+        assert findings == []
+        assert suppressed == 1

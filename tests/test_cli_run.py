@@ -97,6 +97,9 @@ class TestBadInput:
         ["gaming", "--fps", "nan"],
         ["table2", "--gpix", "0"],
         ["run", "--jobs", "0"],
+        ["ladder", "--hang-rate", "-1"],
+        ["ladder", "--corruption-rate", "-0.5"],
+        ["platform", "--failure-rate", "2"],
     ], ids=lambda argv: argv[0] + argv[1])
     def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -109,3 +112,11 @@ class TestBadInput:
             f"repro-bench {command}: error: argument {flag}: "
         )
         assert repr(value) in err.splitlines()[-1]
+
+    def test_ladder_outage_longer_than_short_horizon_is_rc2(self, capsys):
+        """Valid flags, impossible config: the outage stagger overruns a
+        10 s horizon's outage window.  A usage error, not a traceback."""
+        assert main(["ladder", "--horizon-seconds", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("ladder: ") and "stagger" in err

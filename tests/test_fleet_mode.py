@@ -15,10 +15,18 @@ down:
 * ``telemetry_mode="sampled"`` buffers observations but delivers the
   *same* final graph-latency histogram as the exact path (bucket
   increments commute), while actually flushing at sample boundaries.
+* After every drain, the scheduler's rows equal a freshly built
+  scheduler's and the cluster's utilization table equals a fresh
+  per-worker read; every recorded utilization mean equals the old walk
+  over every live worker, under both schedulers and both telemetry
+  modes.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +34,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
 from repro.cluster.scheduler import BinPackingScheduler
+from repro.cluster.timeline import default_timeline, run_month
 from repro.failures import FailureManager, FailureSweeper, FaultInjector
 from repro.sim.engine import Simulator
 from repro.transcode import PopularityBucket, build_transcode_graph
@@ -121,6 +130,35 @@ def _upload(video_id):
     )
 
 
+def _start_storm(sim, hosts, cluster):
+    """Corruptions, hangs, ECC faults, sweep disables, drains and repairs
+    for an hour, with uploads arriving through the first 15 minutes."""
+    vcus = [vcu for host in hosts for vcu in host.vcus]
+    injector = FaultInjector(sim, vcus, seed=13)
+    # A deterministic early corruption guarantees a caught-corrupt
+    # quarantine; the random storms cover the rest of the paths.
+    injector.corrupt_at(0.5, vcus[0])
+    injector.random_corruptions(30.0, until=900.0)
+    injector.random_hangs(120.0, until=900.0, duration=30.0)
+    injector.random_hard_faults(2.0, until=900.0, count=3)
+    manager = FailureManager(hosts, repair_cap=2, card_swap_threshold=2)
+    sweeper = FailureSweeper(
+        sim, manager, interval_seconds=60.0, repair_seconds=300.0,
+        cluster=cluster,
+    )
+    sweeper.start(until=3600.0)
+
+    def submitter():
+        # Keep work arriving through the storm so faults land on
+        # *active* workers, not an idle fleet.
+        for i in range(30):
+            cluster.submit(_upload(f"storm-v{i}"))
+            yield 30.0
+
+    sim.process(submitter(), name="storm-submitter")
+    return sweeper
+
+
 def _scan(cluster):
     return sum(1 for w in cluster.vcu_workers if w.available())
 
@@ -146,29 +184,7 @@ class TestFleetAvailability:
         sample point and at the end."""
         sim = Simulator()
         hosts, cluster = _fleet_cluster(sim)
-        vcus = [vcu for host in hosts for vcu in host.vcus]
-        injector = FaultInjector(sim, vcus, seed=13)
-        # A deterministic early corruption guarantees a caught-corrupt
-        # quarantine; the random storms cover the rest of the paths.
-        injector.corrupt_at(0.5, vcus[0])
-        injector.random_corruptions(30.0, until=900.0)
-        injector.random_hangs(120.0, until=900.0, duration=30.0)
-        injector.random_hard_faults(2.0, until=900.0, count=3)
-        manager = FailureManager(hosts, repair_cap=2, card_swap_threshold=2)
-        sweeper = FailureSweeper(
-            sim, manager, interval_seconds=60.0, repair_seconds=300.0,
-            cluster=cluster,
-        )
-        sweeper.start(until=3600.0)
-
-        def submitter():
-            # Keep work arriving through the storm so faults land on
-            # *active* workers, not an idle fleet.
-            for i in range(30):
-                cluster.submit(_upload(f"storm-v{i}"))
-                yield 30.0
-
-        sim.process(submitter(), name="storm-submitter")
+        sweeper = _start_storm(sim, hosts, cluster)
         checks = []
 
         def monitor():
@@ -299,3 +315,87 @@ class TestSampledTelemetry:
         sim = Simulator()
         with pytest.raises(ValueError, match="telemetry_mode"):
             TranscodeCluster(sim, [], telemetry_mode="bogus")
+
+
+def _walk_means(cluster):
+    """Oracle: the recorded means as they were computed before the
+    utilization table -- a Python mean over every live worker."""
+    workers = list(compress(cluster.vcu_workers, cluster.availability_mask()))
+    encoder = float(np.mean([w.vcu.encoder_utilization() for w in workers]))
+    decoder = float(np.mean([w.vcu.decoder_utilization() for w in workers]))
+    return encoder, decoder
+
+
+class TestRowsAndUtilizationTableExact:
+    """Scheduler rows are exact by contract and the utilization table
+    never drifts, so nothing ever needs to re-read the fleet."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = {"drains": 0, "records": 0, "cluster": None}
+        drain = TranscodeCluster._drain_pending
+        record = TranscodeCluster._record_utilization
+
+        def checked_drain(cluster):
+            drain(cluster)
+            scheduler = cluster.vcu_scheduler
+            if isinstance(scheduler, BinPackingScheduler):
+                # A freshly built scheduler reads ground truth.
+                fresh = BinPackingScheduler(cluster.vcu_workers)
+                assert np.array_equal(scheduler._avail, fresh._avail)
+            workers = cluster.vcu_workers
+            assert np.array_equal(
+                cluster._encoder_util_rows,
+                [w.vcu.encoder_utilization() for w in workers],
+            )
+            assert np.array_equal(
+                cluster._decoder_util_rows,
+                [w.vcu.decoder_utilization() for w in workers],
+            )
+            seen["drains"] += 1
+            seen["cluster"] = cluster
+
+        def checked_record(cluster):
+            record(cluster)
+            if cluster.healthy_vcu_count():
+                recorded = (cluster.encoder_util.current, cluster.decoder_util.current)
+                assert recorded == _walk_means(cluster)
+                seen["records"] += 1
+
+        monkeypatch.setattr(TranscodeCluster, "_drain_pending", checked_drain)
+        monkeypatch.setattr(TranscodeCluster, "_record_utilization", checked_record)
+        return seen
+
+    def test_figure9_month(self, checked):
+        """A saturated exact-mode month: deep pending queues, most
+        placements rejected, both hardware-decode lanes in play."""
+        month = default_timeline(7)[6]
+        result = run_month(month, horizon_seconds=20.0, seed=5)
+        assert result.total_megapixels > 0
+        scheduler = checked["cluster"].vcu_scheduler
+        assert scheduler.rejections > scheduler.placements > 0
+        assert checked["drains"] > 0 and checked["records"] > 0
+
+    def test_single_slot_scheduler(self, checked):
+        """The legacy scheduler has no rows; the table still stays exact."""
+        sim = Simulator()
+        _, cluster = _fleet_cluster(
+            sim, hosts_n=1, use_bin_packing=False, legacy_slots=1,
+        )
+        for i in range(30):
+            cluster.submit(_upload(f"slot-v{i}"))
+        sim.run()
+        assert cluster.stats.completed_graphs == 30
+        assert cluster.vcu_scheduler.rejections > 0
+        assert checked["drains"] > 0 and checked["records"] > 0
+
+    def test_sampled_mode_through_fault_and_repair_storm(self, checked):
+        sim = Simulator()
+        hosts, cluster = _fleet_cluster(
+            sim, telemetry_mode="sampled", telemetry_sample_seconds=5.0,
+        )
+        sweeper = _start_storm(sim, hosts, cluster)
+        sim.run()
+        assert cluster.stats.workers_quarantined > 0
+        assert sweeper.sweeps > 0 and sweeper.repairs_started > 0
+        assert checked["drains"] > 0 and checked["records"] > 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control.live_ladder import scorecard_keys
+from repro.control.live_ladder import LiveLadderConfig, scorecard_keys
 from repro.runner.executor import run_experiments
 from repro.runner.manifest import build_manifest, manifest_text
 from repro.runner import default_registry
@@ -38,6 +38,24 @@ class TestRegistration:
         for params in experiment.grid + experiment.smoke_grid:
             assert params["hang_rate"] > 0
             assert params["corruption_rate"] > 0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("rates", [
+        {"hang_rate_per_hour": -1.0},
+        {"corruption_rate_per_hour": -0.1},
+    ])
+    def test_negative_fault_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="fault rates"):
+            LiveLadderConfig(**rates)
+
+    def test_outage_stagger_must_fit_the_outage(self):
+        # Two hosts per region, 5 s apart: the second onset lands at
+        # +5 s, and 0.15 x 30 s gives a 4.5 s outage.
+        with pytest.raises(ValueError, match="stagger"):
+            LiveLadderConfig(horizon_seconds=30.0, outage=True)
+        LiveLadderConfig(horizon_seconds=30.0, outage=False)
+        LiveLadderConfig(horizon_seconds=40.0, outage=True)
 
 
 class TestSmokeRun:
