@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Any, Callable, List, Optional
 
@@ -54,6 +55,33 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
 
 _rate = _checked(float, lambda value: 0 <= value < math.inf, "a float >= 0")
 _probability = _checked(float, lambda value: 0 <= value < 1, "a float in [0, 1)")
+_count = _checked(int, lambda value: 0 <= value < math.inf, "an int >= 0")
+
+
+def _proxy_height(text: str) -> int:
+    from repro.video.content import MIN_PROXY_HEIGHT
+
+    return _checked(
+        int, lambda value: MIN_PROXY_HEIGHT <= value < math.inf,
+        f"an int >= {MIN_PROXY_HEIGHT}",
+    )(text)
+
+
+def _directory(text: str) -> str:
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"no such directory: {text!r}")
+    return text
+
+
+def _output_file(text: str) -> str:
+    """A file to write at the end of a run: its directory must exist now,
+    not after the run has been paid for."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"no such directory {directory!r} for {text!r}"
+        )
+    return text
 
 
 def _vbench_titles(text: str) -> str:
@@ -216,6 +244,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         spans = load(args.trace)
     except OSError as exc:
         print(f"report: cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"report: bad trace: {exc}", file=sys.stderr)
         return 2
     print(render(summarize(spans), timeline_limit=args.timeline))
     return 0
@@ -434,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     bdrate = sub.add_parser("bdrate", help="BD-rate sweep (real encodes)")
     bdrate.add_argument("--titles", type=_vbench_titles, default="desktop,house,holi")
     bdrate.add_argument("--frames", type=_positive(int), default=6)
-    bdrate.add_argument("--proxy-height", type=_positive(int), default=54)
+    bdrate.add_argument("--proxy-height", type=_proxy_height, default=54)
     bdrate.set_defaults(func=_cmd_bdrate)
 
     timeline = sub.add_parser("timeline", help="Figure 9 deployment replay")
@@ -454,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="render a fleet report from a trace")
     report.add_argument("trace", help="JSONL trace dump (TraceLog.write_jsonl)")
-    report.add_argument("--timeline", type=int, default=30,
+    report.add_argument("--timeline", type=_count, default=30,
                         help="max health-timeline rows to show")
     report.set_defaults(func=_cmd_report)
 
@@ -509,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-attempt execution fault probability")
     platform.add_argument("--json", action="store_true",
                           help="print the scorecard as JSON")
-    platform.add_argument("--ledger", default=None, metavar="FILE",
+    platform.add_argument("--ledger", type=_output_file, default=None,
+                          metavar="FILE",
                           help="also dump the job transition log as JSONL")
     platform.set_defaults(func=_cmd_platform)
 
@@ -539,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files/directories to lint, relative to --root "
              "(default: src tests examples benchmarks setup.py)",
     )
-    lint.add_argument("--root", default=".",
+    lint.add_argument("--root", type=_directory, default=".",
                       help="repo root the paths are relative to")
     lint.add_argument(
         "--baseline", action="store_true",

@@ -7,9 +7,10 @@ vector for the step's modelled duration, and completions unblock
 dependents.  Failure handling follows Section 4.4 as an always-on
 resilience loop:
 
-* every VCU step races a **watchdog deadline** (hung devices never
-  complete on their own; the watchdog interrupts the step process,
-  records a ``HANG`` fault in telemetry, and strikes the worker);
+* every VCU step runs under a **watchdog deadline** (hung devices never
+  complete on their own; a wedged step waits for the deadline's timer,
+  which hands the step back to record a ``HANG`` fault in telemetry and
+  strike the worker);
 * integrity checks catch most corrupt output and failed steps retry on
   *different* VCUs with **exponential backoff + jitter** (fault
   correlation via the recorded VCU id);
@@ -27,7 +28,6 @@ resilience loop:
 from __future__ import annotations
 
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import (
@@ -211,6 +211,9 @@ class TranscodeCluster:
         self._done: Set[int] = set()
         self._graph_of: Dict[int, StepGraph] = {}
         self._graph_remaining: Dict[int, int] = {}
+        # Each transcode step's VCU resource request, from its first
+        # hardware placement attempt until it completes.
+        self._vcu_requests: Dict[int, Dict[str, float]] = {}
         self._rehabbing: Set[str] = set()
         self.encoder_util = UtilizationTracker(sim.now)
         self.decoder_util = UtilizationTracker(sim.now)
@@ -312,17 +315,6 @@ class TranscodeCluster:
             return "hw_swdec" if step.vcu_task.software_decode else "hw"
         return "cpu"
 
-    def _placement_batch(self) -> ExitStack:
-        """Scheduler batch contexts for a run of placements (see
-        ``BinPackingScheduler.batch``); tolerates schedulers without
-        batching (the legacy single-slot model)."""
-        stack = ExitStack()
-        vcu_batch = getattr(self.vcu_scheduler, "batch", None)
-        if vcu_batch is not None:
-            stack.enter_context(vcu_batch())
-        stack.enter_context(self.cpu_scheduler.batch())
-        return stack
-
     def _drain_pending(self) -> None:
         # Head-of-line blocking per lane: once a step of some shape fails
         # to place, later same-shaped steps in the FIFO will not fit
@@ -336,7 +328,7 @@ class TranscodeCluster:
         live = [lane for lane in self._pending_lanes.values() if lane]
         if not live:
             return
-        with self._placement_batch():
+        with self.vcu_scheduler.batch(), self.cpu_scheduler.batch():
             while live:
                 best_at = 0
                 for i in range(1, len(live)):
@@ -382,7 +374,12 @@ class TranscodeCluster:
         if not hardware_exhausted:
             # Request shape depends on the target worker type only through
             # the spec, identical across the fleet; probe with any worker.
-            request = self.vcu_workers[0].request_for(task)
+            # Its inputs never change, so a step computes it once: rejected
+            # attempts and retries reuse it until _complete drops it.
+            request = self._vcu_requests.get(id(step))
+            if request is None:
+                request = self.vcu_workers[0].request_for(task)
+                self._vcu_requests[id(step)] = request
             preference = None
             if self._affinity is not None:
                 preference = self._affinity.placement_order(
@@ -474,41 +471,37 @@ class TranscodeCluster:
         else:
             telemetry.note_admit()
 
-        def execute() -> Generator:
+        def run() -> Generator:
+            # One process per attempt.  The watchdog timer only fires
+            # ``guard``: a healthy step cancels it, a wedged one waits on
+            # it.  The deadline is never shorter than the step and the
+            # timer is queued first, so on an exact tie it fires into an
+            # unwatched guard and completion wins.
+            guard = timer = None
+            if self.watchdog is not None:
+                guard = self.sim.event()
+                timer = self.sim.call_in(
+                    self.watchdog.deadline_for(duration), guard.succeed
+                )
             yield duration
-            if worker.vcu.hung:
+            hung = worker.vcu.hung
+            if hung:
                 # The device wedged while this step was in flight: it will
                 # never complete on its own.  Only the watchdog deadline
-                # (racing below) gets this work back.
-                yield self.sim.event()
-
-        def run() -> Generator:
-            work = self.sim.process(execute(), name=f"vcu-exec:{step.step_id}")
-            timer = None
-            if self.watchdog is not None:
-                deadline = self.watchdog.deadline_for(duration)
-                guard = self.sim.event()
-                timer = self.sim.call_in(deadline, lambda: guard.succeed(None))
-                index, _ = yield self.sim.any_of([work.done, guard])
-            else:
-                yield work.done
-                index = 0
+                # gets this work back; without a watchdog it waits forever.
+                yield guard if guard is not None else self.sim.event()
+            elif timer is not None:
+                timer.cancel()
             self.vcu_scheduler.release(worker, request)
             self._reread_utilization(worker)
             if telemetry is None:
                 self._record_utilization()
             else:
                 telemetry.note_release()
-            if index == 0:
-                if timer is not None:
-                    timer.cancel()
-                self._finish_vcu_step(step, worker, excluded, started)
-            else:
-                # Watchdog deadline won the race: kill the worker process
-                # (one process per transcode constrains the damage) and
-                # recover the step.
-                work.interrupt("watchdog deadline")
+            if hung:
                 self._on_watchdog_expired(step, worker, excluded, started)
+            else:
+                self._finish_vcu_step(step, worker, excluded, started)
             self._drain_pending()
 
         self.sim.process(run(), name=f"vcu:{step.step_id}")
@@ -768,6 +761,7 @@ class TranscodeCluster:
         if id(step) in self._done:
             raise RuntimeError(f"step {step.step_id} completed twice")
         self._done.add(id(step))
+        self._vcu_requests.pop(id(step), None)
         self.stats.completed_steps += 1
         self._count("cluster.completed_steps")
         if step.is_transcode() and not corrupt:
@@ -826,7 +820,8 @@ class TranscodeCluster:
         The mean runs over the table rows the availability mask selects,
         in fleet order -- the same values, order and reduction as a walk
         calling ``encoder_utilization()`` on every live worker, so the
-        recorded floats are identical to that walk's.
+        recorded floats are identical to that walk's.  The mean is
+        ``np.mean``'s own reduction and division without its wrapper.
         """
         live = self._available_count
         if not live:
@@ -836,8 +831,9 @@ class TranscodeCluster:
         if live < len(encoder_rows):
             encoder_rows = encoder_rows[self._avail_mask]
             decoder_rows = decoder_rows[self._avail_mask]
-        encoder = float(np.mean(encoder_rows))
-        decoder = float(np.mean(decoder_rows))
+        n = len(encoder_rows)
+        encoder = float(np.add.reduce(encoder_rows)) / n
+        decoder = float(np.add.reduce(decoder_rows)) / n
         self.encoder_util.record(self.sim.now, encoder)
         self.decoder_util.record(self.sim.now, decoder)
         hub = obs.active()

@@ -545,6 +545,12 @@ class SingleSlotScheduler:
         _emit_placement("single_slot", None, excluded, preference)
         return None
 
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """A no-op: there are no per-shape caches to share, but callers
+        open a batch on either scheduler alike."""
+        yield
+
     def release_slot(self, worker: PlaceableWorker) -> None:
         index = self._by_name[worker.name]
         self._slots[index] += 1

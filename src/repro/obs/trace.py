@@ -159,10 +159,25 @@ class TraceLog:
 
     @staticmethod
     def read_jsonl(path: str) -> List[TraceSpan]:
+        """Load spans written by :meth:`write_jsonl`.
+
+        A line that is not a span (not JSON, not an object, or missing a
+        field) raises :class:`ValueError` naming the path and line number.
+        """
         spans: List[TraceSpan] = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     spans.append(TraceSpan.from_dict(json.loads(line)))
+                except KeyError as exc:
+                    raise ValueError(
+                        f"{path}:{number}: span has no {exc.args[0]!r} field"
+                    ) from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"{path}:{number}: not a trace span ({exc})"
+                    ) from None
         return spans

@@ -15,17 +15,18 @@ dominant ``yield <float>`` resume is dispatched inline in :meth:`run`
 with a reused entry tuple, so a step completion costs a dict lookup and
 a list append rather than two ``O(log n)`` heap operations.
 
-Three primitives support the fleet-resilience subsystem:
+Three primitives support cancellation and races:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_in` return a
   :class:`Timer` handle whose :meth:`Timer.cancel` defuses the callback
   (cancelled entries are dropped without advancing the clock, so stale
-  watchdog deadlines do not stretch a run's end time);
+  watchdog deadlines do not stretch a run's end time).  The cluster's
+  watchdog is one such timer per VCU step: it fires an event that only a
+  wedged step waits on, and a step that ends healthy cancels it;
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a running
-  process, terminating it unless the generator catches the exception --
-  how a watchdog kills a hung step; and
-* :meth:`Simulator.any_of` builds a first-of-N event so a step's
-  completion can race its deadline.
+  process, terminating it unless the generator catches the exception; and
+* :meth:`Simulator.any_of` builds a first-of-N event for a process that
+  waits on whichever of several events fires first.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from repro.sim.calendar import CalendarQueue
 class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
-    ``cause`` carries why the process was interrupted (e.g. the watchdog
-    deadline that fired).  A process may catch it and keep running; if it
+    ``cause`` carries why the process was interrupted (e.g. a deadline
+    that fired).  A process may catch it and keep running; if it
     propagates, the process terminates and its ``done`` event fires with
     the :class:`Interrupt` instance as its value so waiters can tell a
     cancellation from a normal return.
@@ -141,7 +142,7 @@ class Process:
         """Throw :class:`Interrupt` into the process at the current time.
 
         Returns False (a no-op) when the process already finished -- the
-        natural race between a watchdog and a completing step.  If the
+        natural race between a deadline and a completing process.  If the
         generator does not catch the exception the process terminates and
         ``done`` fires with the :class:`Interrupt` as its value.
         """
@@ -304,8 +305,10 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event firing with ``(index, value)`` of the first to fire.
 
-        Ties are deterministic: the lowest input index wins.  This is the
-        combinator that lets a step race a watchdog deadline.
+        Ties are deterministic: of events fired at the same instant, the
+        one fired first in dispatch order wins, and of events already
+        fired when ``any_of`` is called, the lowest input index wins.
+        Each input costs one racer process.
         """
         events = list(events)
         if not events:

@@ -56,6 +56,10 @@ class ContentSpec:
 #: Proxy plane height used for functional encoding; width follows 16:9.
 DEFAULT_PROXY_HEIGHT = 72
 
+#: Sprites are at least this many proxy pixels square and must fit in the
+#: frame, so this is also the smallest usable proxy height.
+MIN_PROXY_HEIGHT = 6
+
 
 @dataclass
 class _Sprite:
@@ -75,6 +79,11 @@ class SyntheticVideo:
         seed: SeedLike = 0,
         proxy_height: int = DEFAULT_PROXY_HEIGHT,
     ):
+        if int(proxy_height) < MIN_PROXY_HEIGHT:
+            raise ValueError(
+                f"proxy_height must be >= {MIN_PROXY_HEIGHT} (the smallest"
+                f" sprite), got {proxy_height}"
+            )
         self.spec = spec
         self.proxy_height = int(proxy_height)
         self.proxy_width = int(round(self.proxy_height * 16 / 9))
@@ -93,7 +102,7 @@ class SyntheticVideo:
         return gradient + 40.0 * self.spec.detail * texture
 
     def _make_sprite(self) -> _Sprite:
-        side = max(6, self.proxy_height // 6)
+        side = max(MIN_PROXY_HEIGHT, self.proxy_height // 6)
         texture = self._rng.normal(0.0, 1.0, size=(side, side)).astype(np.float32)
         texture = _blur3(texture) * 55.0 * max(self.spec.detail, 0.2)
         angle = self._rng.uniform(0, 2 * np.pi)

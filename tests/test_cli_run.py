@@ -100,6 +100,10 @@ class TestBadInput:
         ["ladder", "--hang-rate", "-1"],
         ["ladder", "--corruption-rate", "-0.5"],
         ["platform", "--failure-rate", "2"],
+        ["report", "--timeline", "-1"],
+        ["bdrate", "--proxy-height", "5"],
+        ["lint", "--root", "/nonexistent"],
+        ["platform", "--ledger", "/nonexistent/dir/x.json"],
     ], ids=lambda argv: argv[0] + argv[1])
     def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -112,6 +116,22 @@ class TestBadInput:
             f"repro-bench {command}: error: argument {flag}: "
         )
         assert repr(value) in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("not json", "not a trace span"),
+        ('{"seq": 1, "name": "s", "t0": 0.0, "t1": 1.0}', "no 'kind' field"),
+        ("[1, 2]", "not a trace span"),
+    ], ids=["not-json", "no-kind", "not-an-object"])
+    def test_bad_trace_line_is_rc2_naming_the_line(
+        self, line, problem, workdir, capsys
+    ):
+        good = '{"seq": 0, "kind": "step", "name": "s", "t0": 0.0, "t1": 1.0}'
+        (workdir / "bad.jsonl").write_text(f"{good}\n\n{line}\n")
+        assert main(["report", "bad.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("report: bad trace: bad.jsonl:3: ")
+        assert problem in err
 
     def test_ladder_outage_longer_than_short_horizon_is_rc2(self, capsys):
         """Valid flags, impossible config: the outage stagger overruns a

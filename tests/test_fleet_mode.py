@@ -20,6 +20,8 @@ down:
   per-worker read; every recorded utilization mean equals the old walk
   over every live worker, under both schedulers and both telemetry
   modes.
+* A saturated month computes each transcode step's resource request
+  once, however many placements refuse it.
 """
 
 from __future__ import annotations
@@ -399,3 +401,21 @@ class TestRowsAndUtilizationTableExact:
         assert cluster.stats.workers_quarantined > 0
         assert sweeper.sweeps > 0 and sweeper.repairs_started > 0
         assert checked["drains"] > 0 and checked["records"] > 0
+
+
+class TestPerStepCosts:
+    def test_request_computed_once_per_step(self, monkeypatch):
+        """Saturated queues reject most placements; the step's resource
+        request is still computed once, not once per attempt."""
+        calls = []
+        request_for = VcuWorker.request_for
+
+        def counting(worker, task):
+            calls.append(id(task))
+            return request_for(worker, task)
+
+        monkeypatch.setattr(VcuWorker, "request_for", counting)
+        month = default_timeline(7)[6]
+        result = run_month(month, horizon_seconds=20.0, seed=5)
+        assert result.total_megapixels > 0
+        assert len(calls) == len(set(calls)) == 672

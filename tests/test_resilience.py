@@ -9,6 +9,8 @@ correlated host fault mid-stream and still completes every graph with
 zero escaped corruption, deterministically across same-seed runs.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
@@ -418,6 +420,66 @@ class TestWatchdogInCluster:
         sim.run()
         assert g.completed_at is not None
         assert cluster.stats.hangs_detected == 0
+
+    def test_step_finishing_exactly_at_its_deadline_is_not_a_hang(self):
+        """A deadline equal to the step's duration is met, not missed:
+        a healthy step that completes at the instant its watchdog fires
+        is a completion, never a hang."""
+        sim = Simulator()
+        vcus = [Vcu(DEFAULT_VCU_SPEC, vcu_id=f"tie-{i}") for i in range(2)]
+        workers = [VcuWorker(v) for v in vcus]
+        cluster = TranscodeCluster(
+            sim, workers, [CpuWorker(cores=16)], seed=5,
+            watchdog=WatchdogPolicy(
+                deadline_multiplier=1.0, slack_seconds=0.0,
+                min_deadline_seconds=0.0,
+            ),
+        )
+        g = graph("tie-video")
+        cluster.submit(g)
+        sim.run()
+        assert g.completed_at is not None
+        stats = cluster.stats
+        assert (
+            stats.hangs_detected, stats.retries,
+            stats.software_fallbacks, stats.workers_quarantined,
+        ) == (0, 0, 0, 0)
+        assert all(w.health is HealthState.HEALTHY for w in workers)
+
+    @pytest.mark.parametrize("wedged", [False, True], ids=["healthy", "wedged"])
+    def test_one_sim_process_per_vcu_step_attempt(self, wedged):
+        """A VCU step attempt is one simulator process, whether it
+        completes or its device wedges and the watchdog recovers it."""
+        sim = Simulator()
+        spawned: Counter = Counter()
+        spawn = sim.process
+
+        def counting(generator, name=""):
+            spawned[name.split(":")[0].split("[")[0]] += 1
+            return spawn(generator, name=name)
+
+        sim.process = counting
+        vcus = [Vcu(DEFAULT_VCU_SPEC, vcu_id=f"proc-{i}") for i in range(2)]
+        workers = [VcuWorker(v) for v in vcus]
+        with obs.installed() as hub:
+            cluster = TranscodeCluster(sim, workers, [CpuWorker(cores=16)], seed=5)
+            if wedged:
+                FaultInjector(sim, vcus).hang_at(1.0, vcus[0])
+            g = graph("proc-video")
+            cluster.submit(g)
+            sim.run()
+        assert g.completed_at is not None
+        assert (cluster.stats.hangs_detected > 0) is wedged
+        attempts = sum(
+            1 for span in hub.trace.spans
+            if span.kind == "step" and span.attrs["pool"] == "vcu"
+        )
+        assert attempts > 0
+        step_processes = {
+            name: count for name, count in spawned.items()
+            if name not in ("cpu", "sw", "rehab")
+        }
+        assert step_processes == {"vcu": attempts}
 
 
 class TestRehabilitation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.video.content import ContentSpec, SyntheticVideo
+from repro.video.content import MIN_PROXY_HEIGHT, ContentSpec, SyntheticVideo
 from repro.video.gop import chunk_metadata, chunk_video
 from repro.video.frame import resolution
 from repro.video.vbench import VBENCH_SUITE, materialize, vbench_video
@@ -64,6 +64,13 @@ def test_nominal_resolution_respected():
     spec = ContentSpec(name="x", resolution_name="2160p")
     video = SyntheticVideo(spec, seed=0, proxy_height=36).video(2)
     assert video.nominal == resolution("2160p")
+
+
+def test_proxy_height_below_a_sprite_rejected():
+    with pytest.raises(ValueError, match="proxy_height must be >= 6"):
+        SyntheticVideo(ContentSpec(), proxy_height=MIN_PROXY_HEIGHT - 1)
+    frame = SyntheticVideo(ContentSpec(), proxy_height=MIN_PROXY_HEIGHT).next_frame()
+    assert frame.data.shape[0] == MIN_PROXY_HEIGHT
 
 
 class TestVbench:
