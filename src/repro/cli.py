@@ -398,6 +398,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
     root = Path(args.root).resolve()
+    # Only the user's paths: --changed-only targets may name deleted files.
+    for path in args.paths:
+        target = root / path
+        if not target.exists():
+            print(f"lint: no such path under {str(root)!r}: {path!r}",
+                  file=sys.stderr)
+            return 2
+        if not (target.is_dir() or target.suffix == ".py"):
+            print(f"lint: not a directory or .py file: {path!r}", file=sys.stderr)
+            return 2
 
     if args.graph:
         project, parse_errors = load_project(root)
@@ -496,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="small workload for CI regression signal")
     perf.add_argument("--fleet", action="store_true",
                       help="run the fleet-day bench at full 50k-VCU scale")
-    perf.add_argument("--out", default="BENCH_PR8.json",
+    perf.add_argument("--out", type=_output_file, default="BENCH_PR8.json",
                       help="where to write the JSON report")
     perf.set_defaults(func=_cmd_perf)
 
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute every unit, bypassing the cache")
     run.add_argument("--smoke", action="store_true",
                      help="reduced grids for a quick CI signal")
-    run.add_argument("--out", default="BENCH_PR10.json",
+    run.add_argument("--out", type=_output_file, default="BENCH_PR10.json",
                      help="where to write the manifest")
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")

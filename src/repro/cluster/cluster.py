@@ -328,20 +328,19 @@ class TranscodeCluster:
         live = [lane for lane in self._pending_lanes.values() if lane]
         if not live:
             return
-        with self.vcu_scheduler.batch(), self.cpu_scheduler.batch():
-            while live:
-                best_at = 0
-                for i in range(1, len(live)):
-                    if live[i][0][0] < live[best_at][0][0]:
-                        best_at = i
-                best = live[best_at]
-                _, step, excluded = best[0]
-                if self._try_place(step, excluded):
-                    best.popleft()
-                    if not best:
-                        del live[best_at]
-                else:
-                    del live[best_at]  # lane blocked for this round
+        while live:
+            best_at = 0
+            for i in range(1, len(live)):
+                if live[i][0][0] < live[best_at][0][0]:
+                    best_at = i
+            best = live[best_at]
+            _, step, excluded = best[0]
+            if self._try_place(step, excluded):
+                best.popleft()
+                if not best:
+                    del live[best_at]
+            else:
+                del live[best_at]  # lane blocked for this round
 
     def _try_place(self, step: Step, excluded: Set[str]) -> bool:
         if step.is_transcode():

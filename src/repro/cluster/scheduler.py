@@ -12,25 +12,28 @@ the same "capacity" -- the mismatch the bin-packing scheduler fixes.
 
 Hot-path structure: both schedulers keep an *index* over the worker list
 so a placement probes candidates instead of scanning the whole fleet.
-The bin packer caches per-worker availability as one ``(n_workers,
-n_dims)`` array and computes the set of fitting workers with a handful
-of vectorized comparisons (replicating ``MultiResource.fits`` -- same
-epsilon, same missing-dimension rule); the single-slot model keeps a
-sorted free list.  ``worker.try_admit`` stays authoritative: the index
-is a pre-filter whose rows are exact by contract -- each row is re-read
-from worker ground truth after every admission and release the
-scheduler makes, and :meth:`BinPackingScheduler.release` is the only way
-capacity comes back (the ``capacity-through-scheduler`` lint rule
-enforces that statically).  Placements are therefore identical to the
-pre-index linear scan (preserved as :meth:`BinPackingScheduler.place_scan`
-for the equivalence suite and the perf harness).
+The bin packer keeps each worker's availability as one row of floats
+and, per request shape, one fit bit per row (replicating
+``MultiResource.fits`` -- same epsilon, same missing-dimension rule)
+that persists from one placement to the next: rows change only when
+they are re-read, every re-read is logged, and a placement re-tests
+just the rows logged since its shape was last used.  The single-slot
+model keeps a sorted free list.  ``worker.try_admit`` stays
+authoritative: the index is a pre-filter whose rows are exact by
+contract -- each row is re-read from worker ground truth after every
+admission and release the scheduler makes, and
+:meth:`BinPackingScheduler.release` is the only way capacity comes back
+(the ``capacity-through-scheduler`` lint rule enforces that statically).
+Placements are therefore identical to the pre-index linear scan
+(preserved as :meth:`BinPackingScheduler.place_scan` for the equivalence
+suite and the perf harness).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,46 +100,33 @@ def _ordered_workers(
     return preferred + [w for w in workers if w.name not in chosen]
 
 
-#: Rows per fit-mask block in :meth:`BinPackingScheduler._place_indexed`.
-#: First fit usually admits in the first block, so a placement pays for
-#: a few hundred rows instead of the whole fleet; fleets this small or
-#: smaller still get one vectorized pass.
-_FIT_BLOCK = 256
-
-
-class _ShapeCache:
-    """Per-request-shape placement state, valid for one batch.
-
-    ``mask``/``order`` are the fit mask and its candidate index list,
-    computed once per shape per batch.  ``dead`` collects indices whose
-    ``try_admit`` rejected this shape: within a batch, availability only
-    ever *decreases* (admits are observed, releases invalidate the whole
-    batch), so a resource rejection is permanent for the batch and the
-    scan never re-probes the worker.
-    """
-
-    __slots__ = ("mask", "order", "dead")
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-        self.order: List[int] = np.flatnonzero(mask).tolist()
-        self.dead: Set[int] = set()
+#: The change log holds at most this many entries per row, plus
+#: ``_LOG_SLACK``, before :class:`BinPackingScheduler` clears it and
+#: drops every shape's fit bits (each shape rebuilds on its next use).
+_LOG_PER_ROW = 32
+_LOG_SLACK = 1024
 
 
 class BinPackingScheduler:
     """Online multi-dimensional bin packing over an availability cache.
 
-    The cache is an ``(n_workers, n_dims)`` float array of remaining
-    capacity per named dimension: workers without a ``resources``
-    attribute (test shims) carry ``+inf`` rows (always candidates,
-    ``try_admit`` decides), dimensions a worker lacks carry ``-inf``
-    (never fit, matching ``MultiResource.fits``).  Rows are exact after
-    every admit and release the scheduler makes, and :meth:`release` is
-    the only way capacity comes back, so a row is never *pessimistic*
-    and a fruitless pass is a real rejection.  Rows may turn
-    *optimistic* -- :meth:`place_scan` admits without touching them --
-    and that is tolerated: ``try_admit`` rejects and the scan continues,
-    which is exactly what the linear scan did.
+    The cache is one row of floats per worker, one column per named
+    dimension: workers without a ``resources`` attribute (test shims)
+    carry ``+inf`` rows (always candidates, ``try_admit`` decides),
+    dimensions a worker lacks carry ``-inf`` (never fit, matching
+    ``MultiResource.fits``).  Rows are exact after every admit and
+    release the scheduler makes, and :meth:`release` is the only way
+    capacity comes back, so a row is never *pessimistic* and a fruitless
+    pass is a real rejection.  Rows may turn *optimistic* --
+    :meth:`place_scan` admits without touching them -- and that is
+    tolerated: ``try_admit`` rejects and the scan continues, which is
+    exactly what the linear scan did.
+
+    Each request shape keeps a ``bytearray`` of fit bits over the rows
+    and the change-log position those bits reflect.  Rows change only in
+    :meth:`_refresh_row`, which logs the row, so a shape's bits equal
+    :meth:`_fit_mask` once it re-tests the rows logged since its last
+    use.
     """
 
     def __init__(self, workers: Sequence[PlaceableWorker]):
@@ -150,10 +140,15 @@ class BinPackingScheduler:
         self.rejections = 0
         self._dims: List[str] = []
         self._dim_index: Dict[str, int] = {}
-        self._avail = np.empty((0, 0), dtype=np.float64)
-        self._unindexed = np.empty(0, dtype=bool)  # workers w/o .resources
-        #: Per-request-shape caches of the open :meth:`batch`, if any.
-        self._batch: Optional[Dict[Tuple, _ShapeCache]] = None
+        self._avail: List[List[float]] = []
+        self._unindexed = bytearray()  # workers w/o .resources
+        #: Row indices in the order :meth:`_refresh_row` re-read them.
+        self._changed: List[int] = []
+        self._log_limit = _LOG_SLACK
+        #: ``tuple(request.items())`` -> ``[tests, bits, seen]``: the
+        #: shape's ``(column, epsilon, amount)`` row tests, its fit bit
+        #: per row, and the change-log position the bits reflect.
+        self._shapes: Dict[Tuple, list] = {}
         self._rebuild_index()
 
     @property
@@ -161,8 +156,6 @@ class BinPackingScheduler:
         return list(self._workers)
 
     def add_worker(self, worker: PlaceableWorker) -> None:
-        if self._batch is not None:
-            self._batch.clear()
         self._workers.append(worker)
         self._by_name[worker.name] = len(self._workers) - 1
         resources = getattr(worker, "resources", None)
@@ -171,15 +164,12 @@ class BinPackingScheduler:
         ):
             self._rebuild_index()
             return
-        self._avail = np.vstack(
-            [self._avail, np.empty((1, len(self._dims)), dtype=np.float64)]
-        )
-        self._unindexed = np.append(self._unindexed, resources is None)
+        self._avail.append([])
+        self._unindexed.append(resources is None)
+        self._forget_shapes()
         self._refresh_row(len(self._workers) - 1)
 
     def remove_worker(self, worker: PlaceableWorker) -> None:
-        if self._batch is not None:
-            self._batch.clear()
         self._workers.remove(worker)
         self._by_name = {w.name: i for i, w in enumerate(self._workers)}
         self._rebuild_index()
@@ -200,41 +190,48 @@ class BinPackingScheduler:
                     dims.append(dim)
         self._dims = dims
         self._dim_index = {dim: j for j, dim in enumerate(dims)}
-        self._avail = np.empty(
-            (len(self._workers), len(dims)), dtype=np.float64
+        self._avail = [[] for _ in self._workers]
+        self._unindexed = bytearray(
+            getattr(w, "resources", None) is None for w in self._workers
         )
-        self._unindexed = np.array(
-            [getattr(w, "resources", None) is None for w in self._workers],
-            dtype=bool,
-        ).reshape(len(self._workers))
+        self._forget_shapes()
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
+    def _forget_shapes(self) -> None:
+        """Drop every shape's fit bits and clear the change log."""
+        self._shapes.clear()
+        self._changed.clear()
+        self._log_limit = _LOG_PER_ROW * len(self._avail) + _LOG_SLACK
+
     def _refresh_row(self, index: int) -> None:
-        """Re-read one worker's availability vector from ground truth."""
-        row = self._avail[index]
+        """Re-read one worker's availability row from ground truth and
+        log the change."""
         resources = getattr(self._workers[index], "resources", None)
         if resources is None:
-            row[:] = np.inf
-            return
-        available = resources.available
-        for j, dim in enumerate(self._dims):
-            row[j] = available.get(dim, -np.inf)
+            self._avail[index] = [math.inf] * len(self._dims)
+        else:
+            available = resources.available
+            self._avail[index] = [
+                float(available.get(dim, -math.inf)) for dim in self._dims
+            ]
+        changed = self._changed
+        changed.append(index)
+        if len(changed) > self._log_limit:
+            self._forget_shapes()
 
     def refresh(self) -> None:
         """Re-read every row from ground truth: the one explicit re-sync,
         for a caller that moved capacity without :meth:`release`."""
-        if self._batch is not None:
-            self._batch.clear()
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
-    def _fit_mask(
-        self, request: Dict[str, float], start: int = 0, stop: Optional[int] = None
-    ) -> np.ndarray:
-        """Elementwise replica of ``MultiResource.fits`` over rows
-        ``start:stop`` (default: every worker)."""
-        avail = self._avail[start:stop]
+    def _fit_mask(self, request: Dict[str, float]) -> np.ndarray:
+        """Elementwise replica of ``MultiResource.fits`` over every row,
+        vectorized: the reference every shape's fit bits equal."""
+        avail = np.array(self._avail, dtype=np.float64).reshape(
+            len(self._avail), len(self._dims)
+        )
         mask = np.ones(len(avail), dtype=bool)
         for dim, amount in request.items():
             if amount <= 0:
@@ -243,11 +240,49 @@ class BinPackingScheduler:
             if j is None:
                 # Dimension no indexed worker has: only resource-less
                 # workers can fit it (their try_admit decides).
-                mask &= self._unindexed[start:stop]
+                mask &= np.array(self._unindexed, dtype=bool)
                 continue
             epsilon = max(1e-9, 1e-9 * abs(amount))
             mask &= avail[:, j] + epsilon >= amount
         return mask
+
+    def _fit_bits(self, request: Dict[str, float]) -> bytearray:
+        """The request shape's fit bit per row, caught up with the log.
+
+        A shape re-tests the rows logged since its last use, or every
+        row when more entries are pending than there are rows.  The
+        tests are :meth:`_fit_mask`'s, one row at a time.
+        """
+        key = tuple(request.items())
+        shape = self._shapes.get(key)
+        changed = self._changed
+        avail = self._avail
+        if shape is None or len(changed) - shape[2] > len(avail):
+            tests = []
+            for dim, amount in request.items():
+                if amount <= 0:
+                    continue
+                j = self._dim_index.get(dim)
+                if j is None:
+                    # Resource-less workers' rows are +inf, so they pass
+                    # every other test: the bits are exactly theirs.
+                    return self._unindexed
+                tests.append((j, max(1e-9, 1e-9 * abs(amount)), amount))
+            shape = self._shapes[key] = [tests, bytearray(len(avail)), 0]
+            rows: Sequence[int] = range(len(avail))
+        else:
+            rows = changed[shape[2]:]
+        tests, bits, _ = shape
+        shape[2] = len(changed)
+        for index in rows:
+            row = avail[index]
+            for j, epsilon, amount in tests:
+                if not row[j] + epsilon >= amount:
+                    bits[index] = 0
+                    break
+            else:
+                bits[index] = 1
+        return bits
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -265,16 +300,9 @@ class BinPackingScheduler:
         ``preference`` front-loads the probe order (chunk affinity).
 
         Rows are exact (see the class docstring), so a pass that admits
-        nowhere is the rejection.  Inside a :meth:`batch` context the fit
-        mask and candidate order are cached per request shape; decisions
-        are identical to the unbatched path (see the batch-amortization
-        notes on :meth:`batch`).
+        nowhere is the rejection.
         """
-        batch = self._batch
-        if batch is None:
-            worker = self._place_indexed(request, excluded, preference)
-        else:
-            worker = self._place_batched(batch, request, excluded, preference)
+        worker = self._place_indexed(request, excluded, preference)
         if worker is not None:
             self.placements += 1
         else:
@@ -282,97 +310,14 @@ class BinPackingScheduler:
         _emit_placement("bin_packing", worker, excluded, preference)
         return worker
 
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        """Amortize a run of placements over shared per-shape caches.
-
-        Batch amortization is sound because every event that could make
-        a cached view *pessimistic* (miss a worker that actually fits)
-        invalidates the cache: releases (the only way capacity comes
-        back), worker add/remove, and :meth:`refresh` all clear it.  The
-        remaining drift is *optimistic* -- admits inside the batch shrink
-        real availability below the cached mask -- and ``try_admit`` stays
-        authoritative, so a stale candidate is probed once, rejected, and
-        marked dead for the rest of the batch (availability for a shape
-        can only keep shrinking until the next invalidation).  First-fit
-        order is untouched; the batch path returns exactly the worker the
-        unbatched path would.
-
-        Nested ``batch()`` contexts join the outermost batch.
-        """
-        if self._batch is not None:
-            yield
-            return
-        self._batch = {}
-        try:
-            yield
-        finally:
-            self._batch = None
-
     def place_batch(
         self,
         requests: Sequence[Dict[str, float]],
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> List[Optional[PlaceableWorker]]:
-        """Place an arrival batch in order; one vectorized scan per shape."""
-        with self.batch():
-            return [
-                self.place(request, excluded, preference) for request in requests
-            ]
-
-    def _place_batched(
-        self,
-        batch: Dict[Tuple, _ShapeCache],
-        request: Dict[str, float],
-        excluded: Set[str],
-        preference: Optional[Sequence[str]],
-    ) -> Optional[PlaceableWorker]:
-        key = tuple(sorted(request.items()))
-        entry = batch.get(key)
-        if entry is None:
-            entry = _ShapeCache(self._fit_mask(request))
-            batch[key] = entry
-        return self._scan_shape(entry, request, excluded, preference)
-
-    def _scan_shape(
-        self,
-        entry: _ShapeCache,
-        request: Dict[str, float],
-        excluded: Set[str],
-        preference: Optional[Sequence[str]],
-    ) -> Optional[PlaceableWorker]:
-        workers = self._workers
-        mask = entry.mask
-        dead = entry.dead
-        preferred: Set[int] = set()
-        if preference:
-            by_name = self._by_name
-            for name in preference:
-                index = by_name.get(name)
-                if index is None:
-                    continue
-                preferred.add(index)
-                if index in dead or not mask[index]:
-                    continue
-                worker = workers[index]
-                if worker.name in excluded or not worker.available():
-                    continue
-                if worker.try_admit(request):
-                    self._refresh_row(index)
-                    return worker
-                dead.add(index)
-        for index in entry.order:
-            if index in dead or index in preferred:
-                continue
-            worker = workers[index]
-            if worker.name in excluded or not worker.available():
-                continue
-            if worker.try_admit(request):
-                self._refresh_row(index)
-                return worker
-            dead.add(index)
-        return None
+        """Place an arrival batch in order, one :meth:`place` each."""
+        return [self.place(request, excluded, preference) for request in requests]
 
     def _place_indexed(
         self,
@@ -380,15 +325,10 @@ class BinPackingScheduler:
         excluded: Set[str],
         preference: Optional[Sequence[str]],
     ) -> Optional[PlaceableWorker]:
-        """First fit, computing the fit mask one block of rows at a time.
-
-        Rows change only when an admission succeeds, and that ends the
-        scan, so masks computed lazily block by block (and shared with
-        the preference probes) equal one whole-fleet mask; the scan just
-        stops paying for rows past the first worker that admits.
-        """
+        """First fit over the shape's fit bits: the preferred workers,
+        then every fitting row in worker order."""
+        bits = self._fit_bits(request)
         workers = self._workers
-        masks: Dict[int, np.ndarray] = {}
         preferred: Set[int] = set()
         if preference:
             by_name = self._by_name
@@ -397,34 +337,27 @@ class BinPackingScheduler:
                 if index is None:
                     continue
                 preferred.add(index)
-                start = index - index % _FIT_BLOCK
-                mask = masks.get(start)
-                if mask is None:
-                    mask = self._fit_mask(request, start, start + _FIT_BLOCK)
-                    masks[start] = mask
                 worker = workers[index]
                 if (
-                    mask[index - start]
+                    bits[index]
                     and worker.name not in excluded
                     and worker.available()
                     and worker.try_admit(request)
                 ):
                     self._refresh_row(index)
                     return worker
-        for start in range(0, len(workers), _FIT_BLOCK):
-            mask = masks.get(start)
-            if mask is None:
-                mask = self._fit_mask(request, start, start + _FIT_BLOCK)
-            for offset in np.flatnonzero(mask).tolist():
-                index = start + offset
-                if index in preferred:
-                    continue
-                worker = workers[index]
-                if worker.name in excluded or not worker.available():
-                    continue
-                if worker.try_admit(request):
-                    self._refresh_row(index)
-                    return worker
+        index = bits.find(1)
+        while index >= 0:
+            worker = workers[index]
+            if (
+                index not in preferred
+                and worker.name not in excluded
+                and worker.available()
+                and worker.try_admit(request)
+            ):
+                self._refresh_row(index)
+                return worker
+            index = bits.find(1, index + 1)
         return None
 
     def place_scan(
@@ -460,11 +393,6 @@ class BinPackingScheduler:
         The only way capacity comes back, which is what keeps rows exact.
         """
         worker.release(request)  # type: ignore[attr-defined]
-        if self._batch is not None:
-            # A release can make cached batch masks pessimistic (a worker
-            # they exclude now fits); drop them so the next placement
-            # recomputes against ground truth.
-            self._batch.clear()
         index = self._by_name.get(worker.name)
         if index is not None and self._workers[index] is worker:
             self._refresh_row(index)
@@ -544,12 +472,6 @@ class SingleSlotScheduler:
         self.rejections += 1
         _emit_placement("single_slot", None, excluded, preference)
         return None
-
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        """A no-op: there are no per-shape caches to share, but callers
-        open a batch on either scheduler alike."""
-        yield
 
     def release_slot(self, worker: PlaceableWorker) -> None:
         index = self._by_name[worker.name]

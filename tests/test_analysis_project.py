@@ -640,6 +640,19 @@ class TestChangedOnlyCli:
         assert "edited.py" in out
         assert "steady.py" not in out  # unchanged finding not rescanned
 
+    def test_deleted_file_is_skipped_silently(self, tmp_path, capsys):
+        """``git diff --name-only`` lists deleted files; they are not
+        user-given paths, so they are skipped, not a usage error."""
+        src = self._repo(tmp_path)
+        (src / "edited.py").unlink()
+        rc = main([
+            "lint", "--root", str(tmp_path), "--changed-only", "--base", "HEAD",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert "0 new finding(s) in 0 file(s)" in captured.out
+
     def test_no_changes_is_a_clean_noop(self, tmp_path, capsys):
         self._repo(tmp_path)
         rc = main([

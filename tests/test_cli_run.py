@@ -104,6 +104,8 @@ class TestBadInput:
         ["bdrate", "--proxy-height", "5"],
         ["lint", "--root", "/nonexistent"],
         ["platform", "--ledger", "/nonexistent/dir/x.json"],
+        ["run", "--out", "/nonexistent/dir/m.json"],
+        ["perf", "--out", "/nonexistent/dir/p.json"],
     ], ids=lambda argv: argv[0] + argv[1])
     def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -116,6 +118,21 @@ class TestBadInput:
             f"repro-bench {command}: error: argument {flag}: "
         )
         assert repr(value) in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("path, problem", [
+        ("no/such/path.py", "no such path under"),
+        ("lint-baseline.json", "not a directory or .py file"),
+    ], ids=["missing", "not-python"])
+    def test_bad_lint_path_is_rc2(self, path, problem, workdir, capsys):
+        """A path that is missing, or neither a directory nor a ``.py``
+        file, is a usage error -- not an empty, passing lint run."""
+        (workdir / "lint-baseline.json").write_text("{}\n")
+        assert main(["lint", path]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("lint: ") and problem in captured.err
+        assert repr(path) in captured.err
+        assert "finding" not in captured.out  # nothing was linted
 
     @pytest.mark.parametrize("line, problem", [
         ("not json", "not a trace span"),

@@ -101,12 +101,9 @@ class TestIndexedScanEquivalence:
         {"millidecode": 1000.0, "milliencode": 7500.0, "dram_bytes": 330e6},
     ]
 
-    def _replay(self, place_attr, steps, workers_n=7, seed=123):
-        workers = [
-            VcuWorker(Vcu(DEFAULT_VCU_SPEC, vcu_id=f"eq-vcu{i}"))
-            for i in range(workers_n)
-        ]
-        scheduler = BinPackingScheduler(workers)
+    def _replay(self, place_attr, steps, workers_n=7, seed=123, scheduler=None):
+        if scheduler is None:
+            scheduler = BinPackingScheduler(self._eq_fleet(workers_n))
         place = getattr(scheduler, place_attr)
         rng = make_rng(seed)
         in_flight = []
@@ -125,6 +122,13 @@ class TestIndexedScanEquivalence:
                 in_flight.append((worker, request))
                 trace.append(("place", worker.name))
         return trace, scheduler
+
+    @staticmethod
+    def _eq_fleet(workers_n=7):
+        return [
+            VcuWorker(Vcu(DEFAULT_VCU_SPEC, vcu_id=f"eq-vcu{i}"))
+            for i in range(workers_n)
+        ]
 
     def test_indexed_matches_scan_on_replayed_stream(self):
         for seed in (1, 22, 333):
@@ -176,9 +180,8 @@ class TestIndexedScanEquivalence:
                 traces.append(trace)
             assert traces[0] == traces[1]
 
-    # A fleet several fit-mask blocks wide: ``place`` computes its fit
-    # mask block by block, so block boundaries only show on fleets wider
-    # than one block.
+    # A fleet wide enough that first fit reaches rows far past the front
+    # (the placement path once computed its fit mask 256 rows at a time).
     WIDE = 700
     #: Nearly a whole device, so pre-filled workers take nothing else.
     FILL = {"millidecode": 2500.0, "milliencode": 9000.0, "dram_bytes": 1e9}
@@ -191,7 +194,8 @@ class TestIndexedScanEquivalence:
         whole fleet; devices are disabled and re-enabled mid-stream; 15%
         of admissions go through ``place_scan`` (optimistic rows); and,
         with ``direct_releases``, half the releases bypass the scheduler
-        (pessimistic rows, which force the refresh-and-rescan path).
+        (pessimistic rows, which ``place`` must honour exactly as the
+        whole-fleet mask does).
         """
         workers = scheduler.workers
         rng = make_rng(seed)
@@ -253,16 +257,16 @@ class TestIndexedScanEquivalence:
                 int(name.rsplit("vcu", 1)[1])
                 for op, name in fast_trace if op == "place"
             )
-            assert last >= 2 * 256  # placements reached the third block
+            assert last >= 2 * 256  # placements reached deep rows
             rejections += fast_trace.count(("reject", None))
-        assert rejections  # some placements scanned every block and failed
+        assert rejections  # some placements walked every fitting row and failed
 
     def test_blockwise_matches_whole_fleet_mask_with_pessimistic_rows(self):
         """Releases that bypass ``scheduler.release`` break the row
         contract and leave rows pessimistic, so ``place`` may pick a later
-        worker than the scan would, or reject; block-wise first fit must
-        still pick exactly what the whole-fleet mask (the pre-block
-        implementation, kept here as the oracle) picks."""
+        worker than the scan would, or reject; first fit over the shape's
+        fit bits must still pick exactly what a first fit over one
+        whole-fleet mask (kept here as the oracle) picks."""
         for seed in (5, 55):
             fast = BinPackingScheduler(self._wide_fleet())
             fast_trace = self._replay_wide(fast, seed, direct_releases=True)
@@ -271,6 +275,88 @@ class TestIndexedScanEquivalence:
                 direct_releases=True,
             )
             assert fast_trace == oracle_trace
+
+    def test_fit_bits_match_references_across_log_bound(self):
+        """Streams long enough to pass the change log's bound, which
+        clears the log and drops every shape's fit bits, still make the
+        references' decisions: the linear scan's with exact rows, and
+        the whole-fleet mask's with direct releases, disable/enable
+        toggles, preferences and exclusions."""
+        for seed in (1, 22, 333):
+            scan_trace, _ = self._replay("place_scan", 4000, seed=seed)
+            fast = BinPackingScheduler(self._eq_fleet())
+            refreshes = _count_refreshes(fast)
+            fast_trace, _ = self._replay("place", 4000, seed=seed, scheduler=fast)
+            assert fast_trace == scan_trace
+            assert len(fast._changed) < refreshes[0]  # the bound cleared the log
+        for seed in (5, 55):
+            fast = BinPackingScheduler(self._eq_fleet())
+            refreshes = _count_refreshes(fast)
+            fast_trace = self._replay_drifting(fast, seed)
+            oracle_trace = self._replay_drifting(
+                _WholeFleetMaskScheduler(self._eq_fleet()), seed
+            )
+            assert fast_trace == oracle_trace
+            assert len(fast._changed) < refreshes[0]
+
+    def _replay_drifting(self, scheduler, seed, steps=4000):
+        """A long stream of placements and releases in which a quarter of
+        the releases bypass the scheduler (pessimistic rows), devices are
+        disabled and re-enabled, and placements carry preferences and
+        exclusions."""
+        workers = scheduler.workers
+        rng = make_rng(seed)
+        in_flight = []
+        trace = []
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.35 and in_flight:
+                worker, request = in_flight.pop(int(rng.integers(len(in_flight))))
+                if rng.random() < 0.25:
+                    worker.release(request)
+                else:
+                    scheduler.release(worker, request)
+                trace.append(("release", worker.name))
+                continue
+            if roll < 0.4:
+                vcu = workers[int(rng.integers(len(workers)))].vcu
+                if vcu.disabled:
+                    vcu.enable()
+                else:
+                    vcu.disable()
+                trace.append(("toggle", vcu.vcu_id))
+                continue
+            request = self.REQUEST_SHAPES[int(rng.integers(len(self.REQUEST_SHAPES)))]
+            preference = (
+                [workers[int(i)].name for i in rng.choice(len(workers), 2, replace=False)]
+                if rng.random() < 0.3 else None
+            )
+            excluded = (
+                {workers[int(i)].name for i in rng.choice(len(workers), 2, replace=False)}
+                if rng.random() < 0.3 else frozenset()
+            )
+            worker = scheduler.place(request, excluded=excluded, preference=preference)
+            if worker is None:
+                trace.append(("reject", None))
+            else:
+                in_flight.append((worker, request))
+                trace.append(("place", worker.name))
+        return trace
+
+
+def _count_refreshes(scheduler):
+    """Count the change-log entries ``scheduler`` has appended: its log
+    so far plus every row it re-reads from here on.  A log shorter than
+    the count shows the log bound was passed."""
+    count = [len(scheduler._changed)]
+    refresh_row = scheduler._refresh_row
+
+    def counted(index):
+        count[0] += 1
+        refresh_row(index)
+
+    scheduler._refresh_row = counted
+    return count
 
 
 class _WholeFleetMaskScheduler(BinPackingScheduler):

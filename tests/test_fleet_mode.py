@@ -1,12 +1,13 @@
-"""Cluster hot paths: batch placement and O(1) availability.
+"""Cluster hot paths: persistent per-shape fit bits and O(1) availability.
 
 The cluster layer trades per-placement scans for cached and
 incrementally maintained state.  These tests pin the equivalence claims
 down:
 
-* :meth:`BinPackingScheduler.place_batch` (and the :meth:`batch` context
-  generally) returns exactly the workers the unbatched sequential path
-  would, across generated request streams with interleaved releases.
+* :meth:`BinPackingScheduler.place_batch` returns exactly the workers a
+  sequential run of :meth:`place` would, across generated request
+  streams with interleaved releases, and a release reaches the next
+  placement of its shape through that shape's persistent fit bits.
 * The cluster's incremental availability count/mask -- its only
   availability path -- agrees with the ground-truth fleet scan at every
   observation point, through quarantines, rehabilitation, sweep
@@ -16,10 +17,11 @@ down:
   *same* final graph-latency histogram as the exact path (bucket
   increments commute), while actually flushing at sample boundaries.
 * After every drain, the scheduler's rows equal a freshly built
-  scheduler's and the cluster's utilization table equals a fresh
-  per-worker read; every recorded utilization mean equals the old walk
-  over every live worker, under both schedulers and both telemetry
-  modes.
+  scheduler's, every cached request shape's fit bits (caught up with
+  the change log) equal the vectorized fit mask over those rows, and
+  the cluster's utilization table equals a fresh per-worker read;
+  every recorded utilization mean equals the old walk over every live
+  worker, under both schedulers and both telemetry modes.
 * A saturated month computes each transcode step's resource request
   once, however many placements refuse it.
 """
@@ -93,26 +95,16 @@ class TestBatchPlacementEquivalence:
                 plain.release(p_worker, request)
 
     def test_release_inside_batch_is_visible(self):
-        """A release mid-batch invalidates the cached shape view -- the
-        next placement of that shape must see the freed capacity."""
+        """A release reaches the shape's persistent fit bits -- the next
+        placement of that shape must see the freed capacity."""
         scheduler = _make_scheduler(n=1)
         capacity = scheduler.workers[0].resources.capacity["milliencode"]
         request = {"milliencode": capacity}  # the whole device
-        with scheduler.batch():
-            first = scheduler.place(request)
-            assert first is not None
-            assert scheduler.place(request) is None  # device is full
-            scheduler.release(first, request)
-            assert scheduler.place(request) is not None
-
-    def test_nested_batch_joins_outer(self):
-        scheduler = _make_scheduler(n=2)
-        with scheduler.batch():
-            outer = scheduler._batch
-            with scheduler.batch():
-                assert scheduler._batch is outer
-            assert scheduler._batch is outer
-        assert scheduler._batch is None
+        first = scheduler.place(request)
+        assert first is not None
+        assert scheduler.place(request) is None  # device is full
+        scheduler.release(first, request)
+        assert scheduler.place(request) is not None
 
 
 def _fleet_cluster(sim, hosts_n=3, **kwargs):
@@ -334,7 +326,7 @@ class TestRowsAndUtilizationTableExact:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        seen = {"drains": 0, "records": 0, "cluster": None}
+        seen = {"drains": 0, "records": 0, "shapes": 0, "cluster": None}
         drain = TranscodeCluster._drain_pending
         record = TranscodeCluster._record_utilization
 
@@ -345,6 +337,13 @@ class TestRowsAndUtilizationTableExact:
                 # A freshly built scheduler reads ground truth.
                 fresh = BinPackingScheduler(cluster.vcu_workers)
                 assert np.array_equal(scheduler._avail, fresh._avail)
+                # Every cached shape's bits, caught up with the change
+                # log, equal the vectorized fit mask over those rows.
+                for key in list(scheduler._shapes):
+                    request = dict(key)
+                    bits = scheduler._fit_bits(request)
+                    assert list(bits) == scheduler._fit_mask(request).tolist()
+                    seen["shapes"] += 1
             workers = cluster.vcu_workers
             assert np.array_equal(
                 cluster._encoder_util_rows,
@@ -377,6 +376,7 @@ class TestRowsAndUtilizationTableExact:
         scheduler = checked["cluster"].vcu_scheduler
         assert scheduler.rejections > scheduler.placements > 0
         assert checked["drains"] > 0 and checked["records"] > 0
+        assert checked["shapes"] > 0
 
     def test_single_slot_scheduler(self, checked):
         """The legacy scheduler has no rows; the table still stays exact."""
