@@ -229,6 +229,11 @@ class TranscodeCluster:
         # scan reads settled state.
         self._worker_index = {w.name: i for i, w in enumerate(self.vcu_workers)}
         self._worker_by_vcu = {w.vcu.vcu_id: w for w in self.vcu_workers}
+        # Each host's workers in fleet order, so a repair walks one host.
+        self._workers_by_host: Dict[str, List[VcuWorker]] = {}
+        for worker in self.vcu_workers:
+            if worker.host is not None:
+                self._workers_by_host.setdefault(worker.host.host_id, []).append(worker)
         self._avail_mask = np.fromiter(
             (w.available() for w in self.vcu_workers),
             dtype=bool,
@@ -700,7 +705,7 @@ class TranscodeCluster:
 
     def on_host_repaired(self, host: VcuHost) -> None:
         """A repair finished: golden re-screen every worker it touched."""
-        for worker in self.vcu_workers:
+        for worker in self._workers_by_host.get(host.host_id, ()):
             if worker.host is host and worker.reset_after_repair():
                 self._spawn_rehab(worker)
         self._sync_host_availability(host)

@@ -18,6 +18,7 @@ one host nearly at once -- the case fault-domain-aware eviction exists for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -37,6 +38,16 @@ class FaultEvent:
     kind: str  # "silent_corruption", "hang", or a FaultKind value
 
 
+def _check_hang_duration(duration: Optional[float]) -> None:
+    if duration is not None and not duration > 0:
+        raise ValueError(f"hang duration must be positive, got {duration}")
+
+
+def _check_fault_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"fault count must be >= 1, got {count}")
+
+
 class FaultInjector:
     """Schedules faults onto VCUs over simulated time."""
 
@@ -48,9 +59,9 @@ class FaultInjector:
 
     def corrupt_at(self, at_time: float, vcu: Vcu) -> FaultEvent:
         """Silently corrupt one VCU at a given time."""
+        self.sim.call_at(at_time, vcu.mark_corrupt)
         event = FaultEvent(at_time=at_time, vcu_id=vcu.vcu_id, kind="silent_corruption")
         self.injected.append(event)
-        self.sim.call_at(at_time, vcu.mark_corrupt)
         return event
 
     def hang_at(
@@ -63,24 +74,24 @@ class FaultInjector:
         Either way, any step in flight when the hang lands stalls and must
         be recovered by the cluster's watchdog.
         """
-        event = FaultEvent(at_time=at_time, vcu_id=vcu.vcu_id, kind="hang")
-        self.injected.append(event)
+        _check_hang_duration(duration)
         self.sim.call_at(at_time, vcu.mark_hung)
         if duration is not None:
-            if duration <= 0:
-                raise ValueError("hang duration must be positive")
             self.sim.call_at(at_time + duration, vcu.clear_hang)
+        event = FaultEvent(at_time=at_time, vcu_id=vcu.vcu_id, kind="hang")
+        self.injected.append(event)
         return event
 
     def hard_fault_at(
         self, at_time: float, vcu: Vcu, kind: FaultKind, count: int = 1
     ) -> FaultEvent:
         """Record hard faults in telemetry at a given time."""
-        event = FaultEvent(at_time=at_time, vcu_id=vcu.vcu_id, kind=kind.value)
-        self.injected.append(event)
+        _check_fault_count(count)
         self.sim.call_at(
             at_time, lambda: vcu.telemetry.record(kind, at_time=at_time, count=count)
         )
+        event = FaultEvent(at_time=at_time, vcu_id=vcu.vcu_id, kind=kind.value)
+        self.injected.append(event)
         return event
 
     def correlated_host_fault(
@@ -140,12 +151,16 @@ class FaultInjector:
             raise ValueError("outage duration must be positive")
         if not hosts:
             raise ValueError("regional outage needs at least one host")
-        events: List[FaultEvent] = []
         clear_at = at_time + duration
-        for host_index, host in enumerate(hosts):
-            onset = at_time + host_index * stagger_seconds
-            if onset >= clear_at:
-                raise ValueError("stagger pushes a host past the outage end")
+        onsets = [at_time + index * stagger_seconds for index in range(len(hosts))]
+        if any(onset >= clear_at for onset in onsets):
+            raise ValueError("stagger pushes a host past the outage end")
+        if min(onsets) < self.sim.now:
+            raise ValueError(
+                f"outage onset {min(onsets)} is before now={self.sim.now}"
+            )
+        events: List[FaultEvent] = []
+        for onset, host in zip(onsets, hosts):
             for vcu in host.vcus:
                 event = FaultEvent(at_time=onset, vcu_id=vcu.vcu_id, kind="hang")
                 self.injected.append(event)
@@ -176,6 +191,7 @@ class FaultInjector:
         duration: Optional[float] = None,
     ) -> List[FaultEvent]:
         """Poisson hang arrivals across the fleet."""
+        _check_hang_duration(duration)
         return self._poisson_arrivals(
             rate_per_vcu_hour,
             until,
@@ -190,6 +206,7 @@ class FaultInjector:
         count: int = 1,
     ) -> List[FaultEvent]:
         """Poisson hard-fault arrivals (telemetry hits) across the fleet."""
+        _check_fault_count(count)
         return self._poisson_arrivals(
             rate_per_vcu_hour,
             until,
@@ -197,8 +214,12 @@ class FaultInjector:
         )
 
     def _poisson_arrivals(self, rate_per_vcu_hour, until, inject) -> List[FaultEvent]:
-        if rate_per_vcu_hour < 0:
-            raise ValueError("rate must be >= 0")
+        # An infinite rate draws zero gaps forever; NaN draws NaN gaps
+        # that silently end the loop.
+        if not (math.isfinite(rate_per_vcu_hour) and rate_per_vcu_hour >= 0):
+            raise ValueError(
+                f"rate must be finite and >= 0, got {rate_per_vcu_hour}"
+            )
         events: List[FaultEvent] = []
         rate_per_second = rate_per_vcu_hour / 3600.0
         if rate_per_second == 0:

@@ -103,7 +103,11 @@ class FailureManager:
         self.card_swap_threshold = card_swap_threshold
 
     def sweep(self) -> List[str]:
-        """One pass over all hosts; returns newly-disabled VCU ids."""
+        """One pass over all hosts; returns newly-disabled VCU ids.
+
+        Every host is visited, in host order, so a host that turned
+        unusable outside a sweep (an eviction) is still queued; a host
+        where nothing tripped costs O(1)."""
         newly_disabled: List[str] = []
         for host in self.hosts:
             for vcu in host.sweep_telemetry():
@@ -114,15 +118,20 @@ class FailureManager:
         return newly_disabled
 
     def _needs_repair(self, host: VcuHost) -> bool:
+        """An unusable host, or (with a card-swap threshold) one with that
+        many disabled devices.  Reads the host's ``disabled_vcus`` count,
+        which its devices keep exact, so the check costs no device walk."""
         if host.unusable:
             return True
         if self.card_swap_threshold is None:
             return False
-        disabled = sum(1 for vcu in host.vcus if vcu.disabled)
-        return disabled >= self.card_swap_threshold
+        return host.disabled_vcus >= self.card_swap_threshold
 
     def available_vcu_count(self) -> int:
-        return sum(len(host.healthy_vcus()) for host in self.hosts)
+        return sum(
+            0 if host.unusable else len(host.vcus) - host.disabled_vcus
+            for host in self.hosts
+        )
 
     def fleet_capacity_fraction(self) -> float:
         total = sum(len(host.vcus) for host in self.hosts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.sim.resources import MultiResource
@@ -23,6 +23,9 @@ from repro.vcu.spec import (
 from repro.vcu.telemetry import VcuTelemetry
 from repro.vcu.throughput import decode_passes
 from repro.video.frame import Resolution
+
+if TYPE_CHECKING:  # deferred: repro.vcu.host imports this module back
+    from repro.vcu.host import VcuHost
 
 MiB = 1024**2
 
@@ -188,6 +191,10 @@ class Vcu:
             name=self.vcu_id,
         )
         self.telemetry = VcuTelemetry(self.vcu_id)
+        #: The :class:`~repro.vcu.host.VcuHost` this device sits in, if
+        #: any.  :meth:`disable` and :meth:`enable` keep its
+        #: ``disabled_vcus`` count and ``sweep_due`` flag exact.
+        self.host: Optional["VcuHost"] = None
         self.disabled = False
         self.corrupt = False
         #: A wedged device: in-flight steps never complete on their own.
@@ -245,11 +252,20 @@ class Vcu:
         self._device_event("clear_hang")
 
     def disable(self) -> None:
-        self.disabled = True
+        if not self.disabled:
+            self.disabled = True
+            if self.host is not None:
+                self.host.disabled_vcus += 1
         self._device_event("disable")
 
     def enable(self) -> None:
-        self.disabled = False
+        if self.disabled:
+            self.disabled = False
+            if self.host is not None:
+                self.host.disabled_vcus -= 1
+                # A tripped device re-enabled without a reset must be
+                # disabled again by the next sweep.
+                self.host.sweep_due = True
         self.corrupt = False
         self.hung = False
         self._device_event("enable")

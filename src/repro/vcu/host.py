@@ -74,8 +74,18 @@ class VcuHost:
             for _ in range(self.host_spec.trays_per_host)
         ]
         #: Trays and cards are fixed for the host's life, so the flat VCU
-        #: list is built once (fleet sweeps walk it every interval).
+        #: list is built once.
         self.vcus: List[Vcu] = [vcu for tray in self.trays for vcu in tray.vcus]
+        #: Some device may be tripped and enabled: set by a trip
+        #: (:meth:`VcuTelemetry.record`) and by re-enabling a disabled
+        #: device, cleared by :meth:`sweep_telemetry`.
+        self.sweep_due = False
+        #: How many of :attr:`vcus` are disabled, kept by the devices'
+        #: own :meth:`Vcu.disable` / :meth:`Vcu.enable`.
+        self.disabled_vcus = 0
+        for vcu in self.vcus:
+            vcu.host = self
+            vcu.telemetry.host = self
         self.unusable = False
         self.component_faults = 0
         #: Faults before the host is queued for repair (dozens of discrete
@@ -95,17 +105,23 @@ class VcuHost:
     def sweep_telemetry(self) -> List[Vcu]:
         """Disable any VCU whose fault counters crossed a threshold.
 
-        Returns the VCUs disabled by this sweep (the host-level fault
-        collection workflow of Section 4.4).  Reads each device's
-        ``tripped`` flag, set when the fault was recorded, so a sweep
-        costs attribute reads, not a threshold check per device.
+        Returns the VCUs disabled by this sweep, in device order (the
+        host-level fault collection workflow of Section 4.4).  Only a
+        trip or a re-enable can leave a device tripped and enabled, and
+        both set :attr:`sweep_due`, so the devices are read only when the
+        flag is set; a host where nothing changed costs the flag test
+        and the fault-budget check.
         """
-        newly_disabled = [
-            vcu for vcu in self.vcus if vcu.telemetry.tripped and not vcu.disabled
-        ]
-        for vcu in newly_disabled:
-            vcu.disable()
-        self.component_faults += len(newly_disabled)
+        newly_disabled: List[Vcu] = []
+        if self.sweep_due:
+            self.sweep_due = False
+            newly_disabled = [
+                vcu for vcu in self.vcus
+                if vcu.telemetry.tripped and not vcu.disabled
+            ]
+            for vcu in newly_disabled:
+                vcu.disable()
+            self.component_faults += len(newly_disabled)
         if self.component_faults >= self.fault_budget:
             self.unusable = True
         return newly_disabled

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # deferred: repro.vcu.host imports this module back
+    from repro.vcu.host import VcuHost
 
 
 class FaultKind(enum.Enum):
@@ -38,23 +41,33 @@ DISABLE_THRESHOLDS: Dict[FaultKind, int] = {
 }
 
 
+#: Every counter at zero; copied per device (``dict.fromkeys`` would
+#: iterate the enum each time, which adds up over a 20k-device fleet).
+_ZERO_COUNTERS: Dict[FaultKind, int] = dict.fromkeys(FaultKind, 0)
+
+
 @dataclass
 class VcuTelemetry:
     """Counters mirrored from device firmware.
 
     ``counters`` change only through :meth:`record` and :meth:`reset`, so
     the disable decision is kept as a flag at the moment a counter crosses
-    its threshold instead of being re-derived on every fleet sweep.
+    its threshold instead of being re-derived on every fleet sweep.  When
+    the device sits in a :class:`~repro.vcu.host.VcuHost`, a trip also
+    sets that host's ``sweep_due`` flag, so the next sweep re-reads this
+    host's devices and skips every host where nothing tripped.
     """
 
     vcu_id: str
     temperature_c: float = 55.0
-    counters: Dict[FaultKind, int] = field(
-        default_factory=lambda: dict.fromkeys(FaultKind, 0)
-    )
+    counters: Dict[FaultKind, int] = field(default_factory=_ZERO_COUNTERS.copy)
     history: List[Tuple[float, FaultKind]] = field(default_factory=list)
     #: Some counter has reached its disable threshold (sticky until reset).
     tripped: bool = field(default=False, init=False)
+    #: The host this device sits in (set by the host), told of each trip.
+    host: Optional["VcuHost"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def record(self, kind: FaultKind, at_time: float = 0.0, count: int = 1) -> None:
         if count < 1:
@@ -62,12 +75,14 @@ class VcuTelemetry:
         total = self.counters[kind] + count
         self.counters[kind] = total
         self.history.append((at_time, kind))
-        if total >= DISABLE_THRESHOLDS[kind]:
+        if total >= DISABLE_THRESHOLDS[kind] and not self.tripped:
             self.tripped = True
+            if self.host is not None:
+                self.host.sweep_due = True
 
     def reset(self) -> None:
         """Clean counters, as after a repair swaps the faulty silicon."""
-        self.counters = dict.fromkeys(FaultKind, 0)
+        self.counters = _ZERO_COUNTERS.copy()
         self.history.clear()
         self.tripped = False
 

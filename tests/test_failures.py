@@ -177,6 +177,70 @@ class TestRegionalOutage:
                                      stagger_seconds=10.0)
 
 
+class TestInjectorValidatesFirst:
+    """A rejected injection records no event, arms no callback and draws
+    no random number: nothing is hung or faulted after ``sim.run``."""
+
+    def _fleet(self, n_hosts=3):
+        sim = Simulator()
+        hosts = [VcuHost(host_id=f"iv-{i}") for i in range(n_hosts)]
+        vcus = [vcu for host in hosts for vcu in host.vcus]
+        return sim, hosts, vcus, FaultInjector(sim, vcus, seed=4)
+
+    @staticmethod
+    def _nothing_injected(sim, injector, vcus):
+        assert injector.injected == []
+        sim.run()
+        assert not any(vcu.hung for vcu in vcus)
+        assert not any(vcu.telemetry.total_faults() for vcu in vcus)
+
+    def test_zero_hang_duration(self):
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="hang duration must be positive"):
+            injector.hang_at(1.0, vcus[0], duration=0)
+        self._nothing_injected(sim, injector, vcus)
+
+    def test_stagger_past_the_outage_end(self):
+        sim, hosts, vcus, injector = self._fleet(3)
+        with pytest.raises(ValueError, match="past the outage end"):
+            injector.regional_outage(0.0, hosts, duration=15.0, stagger_seconds=10.0)
+        self._nothing_injected(sim, injector, vcus)
+
+    def test_zero_fault_count(self):
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="fault count must be >= 1"):
+            injector.hard_fault_at(1.0, vcus[0], FaultKind.ECC_UNCORRECTABLE, count=0)
+        self._nothing_injected(sim, injector, vcus)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
+    def test_rate_not_finite_and_non_negative(self, rate):
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="rate must be finite and >= 0"):
+            injector.random_hangs(rate, until=100.0)
+        self._nothing_injected(sim, injector, vcus)
+
+    def test_poisson_arguments_checked_before_any_draw(self):
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="hang duration"):
+            injector.random_hangs(3600.0, until=30.0, duration=0.0)
+        with pytest.raises(ValueError, match="fault count"):
+            injector.random_hard_faults(3600.0, until=30.0, count=0)
+        self._nothing_injected(sim, injector, vcus)
+        fresh = self._fleet(1)[3]
+        assert [e.at_time for e in injector.random_corruptions(60.0, until=600.0)] == [
+            e.at_time for e in fresh.random_corruptions(60.0, until=600.0)
+        ]
+
+    def test_past_time_records_nothing(self):
+        sim, hosts, vcus, injector = self._fleet(1)
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="before now"):
+            injector.hang_at(1.0, vcus[0], duration=10.0)
+        with pytest.raises(ValueError, match="before now"):
+            injector.regional_outage(1.0, hosts, duration=10.0)
+        self._nothing_injected(sim, injector, vcus)
+
+
 class TestFleetManagement:
     def test_sweep_disables_and_queues_repair(self):
         hosts = [VcuHost() for _ in range(2)]

@@ -593,6 +593,47 @@ class TestFailureSweeper:
             FailureSweeper(sim, manager, repair_seconds=-1.0)
 
 
+class TestHostRepairOrder:
+    def test_repair_rescreens_one_hosts_workers_in_fleet_order(self):
+        """A repair re-screens the repaired host's workers, and only
+        those, in the cluster's fleet order -- here a permutation of
+        ``host.vcus`` interleaved with another host's workers."""
+        sim = Simulator()
+        host, other = small_host("ord"), small_host("ord-x")
+        order = [(host, 2), (other, 0), (host, 0), (host, 3), (other, 1), (host, 1)]
+        workers = [VcuWorker(h.vcus[i], host=h) for h, i in order]
+        fleet_order = [w.name for w in workers if w.host is host]
+        assert fleet_order != [f"worker:{vcu.vcu_id}" for vcu in host.vcus]
+        spawned = []
+        spawn = sim.process
+
+        def recording(generator, name=""):
+            spawned.append(name)
+            return spawn(generator, name=name)
+
+        sim.process = recording
+        with obs.installed() as hub:
+            cluster = TranscodeCluster(sim, workers, [], seed=2)
+            for worker in workers:
+                worker.record_strike()  # SUSPECT: a repair must re-screen it
+            first = len(hub.trace.spans)
+            cluster.on_host_repaired(host)
+            sim.run()
+        assert spawned == [f"rehab:{name}" for name in fleet_order]
+        health = [
+            (span.attrs["to"], span.name)
+            for span in hub.trace.spans[first:] if span.kind == "health"
+        ]
+        assert health == [
+            (state, name)
+            for state in ("quarantined", "rescreening", "healthy")
+            for name in fleet_order
+        ]
+        assert all(
+            w.health is HealthState.SUSPECT for w in workers if w.host is other
+        )
+
+
 class TestPlacementFailureSemantics:
     def test_waiting_for_capacity_is_not_a_failed_placement(self):
         sim = Simulator()

@@ -2,12 +2,15 @@
 
 ``VcuTelemetry.record`` latches ``tripped`` when the counter it just
 bumped reaches that kind's threshold, ``reset`` clears it, and the sweep
-reads only the flag.  These tests keep the old any-threshold scan as an
-oracle and replay random ``record``/``reset``/``enable``/sweep/repair
-sequences through two identical fleets -- one swept by
+reads only the flag -- and only on hosts whose ``sweep_due`` flag a trip
+or a re-enable set.  These tests keep the old any-threshold scan as an
+oracle and replay random ``record``/``reset``/``enable``/``disable``/
+sweep/repair sequences through two identical fleets -- one swept by
 ``FailureManager.sweep``, one by an oracle sweep that re-derives every
-decision from the counters -- asserting the same disables, in the same
-order, at the same sweeps.
+decision from the counters and every disabled count from the devices --
+asserting the same disables, in the same order, at the same sweeps, and
+that each host's ``disabled_vcus`` count and ``sweep_due`` flag stay
+exact after every operation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ def oracle_should_disable(telemetry: VcuTelemetry) -> bool:
     )
 
 
+def oracle_needs_repair(manager: FailureManager, host: VcuHost) -> bool:
+    """The card-swap test with the disabled devices counted afresh."""
+    if host.unusable:
+        return True
+    threshold = manager.card_swap_threshold
+    return threshold is not None and sum(v.disabled for v in host.vcus) >= threshold
+
+
 def oracle_sweep(manager: FailureManager) -> List[str]:
     """``FailureManager.sweep`` with every device's decision re-derived."""
     newly_disabled: List[str] = []
@@ -46,10 +57,24 @@ def oracle_sweep(manager: FailureManager) -> List[str]:
                 host.component_faults += 1
         if host.component_faults >= host.fault_budget:
             host.unusable = True
-        if manager._needs_repair(host) and not manager.repair_queue.queued(host):
+        if oracle_needs_repair(manager, host) and not manager.repair_queue.queued(host):
             manager.repair_queue.enqueue(host)
     manager.disabled_vcus.extend(newly_disabled)
     return newly_disabled
+
+
+def assert_bookkeeping_exact(manager: FailureManager) -> None:
+    """Each host's count and flag against a walk over its devices."""
+    for host in manager.hosts:
+        assert host.disabled_vcus == sum(v.disabled for v in host.vcus)
+        if not host.sweep_due:
+            # Nothing the next sweep must disable hides behind a clear flag.
+            assert not any(
+                v.telemetry.tripped and not v.disabled for v in host.vcus
+            )
+    assert manager.available_vcu_count() == sum(
+        len(host.healthy_vcus()) for host in manager.hosts
+    )
 
 
 def make_fleet(tag: str, repair_cap: int, card_swap_threshold) -> FailureManager:
@@ -91,6 +116,7 @@ OPS = st.one_of(
     st.tuples(st.just("record"), DEVICE, st.sampled_from(KINDS), COUNT),
     st.tuples(st.just("reset"), DEVICE),
     st.tuples(st.just("enable"), DEVICE),
+    st.tuples(st.just("disable"), DEVICE),
     st.tuples(st.just("sweep")),
     st.tuples(st.just("repair")),
 )
@@ -106,6 +132,10 @@ def apply(manager: FailureManager, op, sweep) -> List[str]:
         vcus[op[1]].telemetry.reset()
     elif name == "enable":
         vcus[op[1]].enable()  # a manual re-enable that keeps the counters
+    elif name == "disable":
+        # A disable outside any sweep: the path a worker's failed golden
+        # re-screens take (``VcuWorker.finish_rescreen``).
+        vcus[op[1]].disable()
     elif name == "sweep":
         return sweep(manager)
     else:
@@ -175,4 +205,53 @@ class TestSweepMatchesOracle:
                         vcu.telemetry
                     )
             assert fleet_state(real) == fleet_state(oracle)
+            assert_bookkeeping_exact(real)
 
+
+class TestHostBookkeeping:
+    def test_disabled_count_moves_only_when_a_device_flips(self):
+        host = make_fleet("b", repair_cap=2, card_swap_threshold=None).hosts[0]
+        vcu = host.vcus[0]
+        vcu.disable()
+        vcu.disable()
+        assert host.disabled_vcus == 1
+        assert not host.sweep_due  # a disable leaves nothing to sweep
+        vcu.enable()
+        assert host.disabled_vcus == 0
+        assert host.sweep_due  # the device may still be tripped
+        host.sweep_due = False
+        vcu.enable()
+        assert host.disabled_vcus == 0
+        assert not host.sweep_due
+
+    def test_only_the_first_trip_flags_the_host(self):
+        host = make_fleet("t", repair_cap=2, card_swap_threshold=None).hosts[0]
+        telemetry = host.vcus[3].telemetry
+        telemetry.record(FaultKind.PCIE, count=2)
+        assert not host.sweep_due
+        telemetry.record(FaultKind.PCIE)
+        assert host.sweep_due
+        host.sweep_due = False
+        telemetry.record(FaultKind.PCIE)  # already tripped
+        assert not host.sweep_due
+
+    def test_sweep_reads_devices_only_on_hosts_flagged_since_the_last(self):
+        manager = make_fleet("c", repair_cap=2, card_swap_threshold=None)
+        reads: List[str] = []
+
+        class CountingTelemetry(VcuTelemetry):
+            def __getattribute__(self, name):
+                if name == "tripped":
+                    reads.append(super().__getattribute__("vcu_id"))
+                return super().__getattribute__(name)
+
+        for host in manager.hosts:
+            for vcu in host.vcus:
+                vcu.telemetry.__class__ = CountingTelemetry
+        manager.hosts[1].vcus[2].telemetry.record(FaultKind.PCIE, count=3)
+        reads.clear()
+        assert manager.sweep() == ["h1-vcu2"]
+        assert reads == [vcu.vcu_id for vcu in manager.hosts[1].vcus]
+        reads.clear()
+        assert manager.sweep() == []
+        assert reads == []  # clean hosts cost the flag test, not a device walk
