@@ -21,9 +21,11 @@ from repro.metrics import format_table
 
 @pytest.fixture(scope="module")
 def timeline_results():
-    """Ordered per-month result dicts from the registered experiment
-    (seed/horizon/fleet parameters live in its grid)."""
-    return run_experiment("fig9-timeline").results
+    """Ordered per-month scorecards for months 1..MONTHS from the
+    registered tuning timeline (seed/horizon/fleet parameters live in
+    its grid)."""
+    results = run_experiment("tuning-timeline").results
+    return [r["scorecard"] for r in results if r["month"] <= MONTHS]
 
 
 def test_fig9a_upload_scaling(timeline_results, once):

@@ -53,8 +53,6 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
     )
 
 
-_rate = _checked(float, lambda value: 0 <= value < math.inf, "a float >= 0")
-_probability = _checked(float, lambda value: 0 <= value < 1, "a float in [0, 1)")
 _count = _checked(int, lambda value: 0 <= value < math.inf, "an int >= 0")
 
 
@@ -255,7 +253,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro import perfbench
 
-    report = perfbench.write_report(args.out, smoke=args.smoke, fleet=args.fleet)
+    report = perfbench.write_report(args.out, smoke=args.smoke)
     print(perfbench.render(report))
     print(f"wrote {args.out}")
     return 0
@@ -300,56 +298,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(render_stats(result.stats))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
-
-
-def _cmd_platform(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.control.scenario import ScenarioConfig, run_global_platform_day
-
-    config = ScenarioConfig(
-        day_seconds=args.day_seconds,
-        outage=not args.no_outage,
-        failure_rate=args.failure_rate,
-    )
-    result = run_global_platform_day(config, seed=args.seed)
-    if args.json:
-        print(json.dumps(result.scorecard, indent=2, sort_keys=True))
-    else:
-        print(f"global platform day: {config.day_seconds:g} s, "
-              f"outage={'on' if config.outage else 'off'}, seed={args.seed}")
-        for key, value in result.scorecard.items():
-            print(f"  {key:32s} {value}")
-    if args.ledger:
-        result.plane.ledger.write_jsonl(args.ledger)
-        print(f"wrote {args.ledger}", file=sys.stderr)
-    return 0 if result.scorecard["conservation.ok"] else 1
-
-
-def _cmd_ladder(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
-
-    try:
-        config = LiveLadderConfig(
-            horizon_seconds=args.horizon_seconds,
-            outage=not args.no_outage,
-            hang_rate_per_hour=args.hang_rate,
-            corruption_rate_per_hour=args.corruption_rate,
-        )
-    except ValueError as exc:
-        print(f"ladder: {exc}", file=sys.stderr)
-        return 2
-    result = run_live_ladder(config, seed=args.seed)
-    if args.json:
-        print(json.dumps(result.scorecard, indent=2, sort_keys=True))
-    else:
-        print(f"live ladder: {config.horizon_seconds:g} s, "
-              f"outage={'on' if config.outage else 'off'}, seed={args.seed}")
-        for key, value in result.scorecard.items():
-            print(f"  {key:32s} {value}")
-    return 0 if result.scorecard["conservation.ok"] else 1
 
 
 def _changed_python_targets(root: object, base: str) -> Optional[List[str]]:
@@ -504,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("--smoke", action="store_true",
                       help="small workload for CI regression signal")
-    perf.add_argument("--fleet", action="store_true",
-                      help="run the fleet-day bench at full 50k-VCU scale")
     perf.add_argument("--out", type=_output_file, default="BENCH_PR8.json",
                       help="where to write the JSON report")
     perf.set_defaults(func=_cmd_perf)
@@ -536,42 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")
     run.set_defaults(func=_cmd_run)
-
-    platform = sub.add_parser(
-        "platform",
-        help="global-platform-day control-plane scenario (SLO scorecard)",
-    )
-    platform.add_argument("--day-seconds", type=_positive(float), default=3600.0,
-                          help="length of the compressed diurnal cycle")
-    platform.add_argument("--seed", type=int, default=11)
-    platform.add_argument("--no-outage", action="store_true",
-                          help="run the control arm (no regional outage)")
-    platform.add_argument("--failure-rate", type=_probability, default=0.02,
-                          help="per-attempt execution fault probability")
-    platform.add_argument("--json", action="store_true",
-                          help="print the scorecard as JSON")
-    platform.add_argument("--ledger", type=_output_file, default=None,
-                          metavar="FILE",
-                          help="also dump the job transition log as JSONL")
-    platform.set_defaults(func=_cmd_platform)
-
-    ladder = sub.add_parser(
-        "ladder",
-        help="live streaming-ladder scenario (time-to-first-segment "
-             "latency scorecard)",
-    )
-    ladder.add_argument("--horizon-seconds", type=_positive(float), default=480.0,
-                        help="virtual seconds of demand to generate")
-    ladder.add_argument("--seed", type=int, default=13)
-    ladder.add_argument("--no-outage", action="store_true",
-                        help="skip the mid-run regional outage")
-    ladder.add_argument("--hang-rate", type=_rate, default=0.0,
-                        help="VCU hangs per VCU-hour")
-    ladder.add_argument("--corruption-rate", type=_rate, default=0.0,
-                        help="VCU corruptions per VCU-hour")
-    ladder.add_argument("--json", action="store_true",
-                        help="print the scorecard as JSON")
-    ladder.set_defaults(func=_cmd_ladder)
 
     lint = sub.add_parser(
         "lint", help="simulation-safety static analyzer (repro.analysis)"

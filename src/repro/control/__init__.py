@@ -22,8 +22,9 @@ is that layer for the simulated fleet:
   turns LIVE/UPLOAD jobs into ladder stream sessions.
 * :mod:`repro.control.live_ladder` -- the "live ladder" scenario and its
   time-to-first-segment latency scorecard.
-* :mod:`repro.control.catalog` -- the scenario catalog: grids, seeds,
-  and scorecard-key dispatch for every deployment-narrative experiment.
+* :mod:`repro.control.catalog` -- the scenario catalog: one table that
+  declares every deployment-narrative experiment (grids, seeds, run
+  function and config class, scorecard keys, summary columns).
 * :mod:`repro.control.canary` -- the firmware canary-rollout scenario
   (stage, detect regression from scorecards, roll back or promote).
 * :mod:`repro.control.chaos` -- the correlated-outage chaos campaign

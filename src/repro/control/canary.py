@@ -35,6 +35,7 @@ from repro.cluster.worker import CpuWorker, VcuWorker
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.live_ladder import stable_host
 from repro.control.plane import ClusterExecutor, ControlPlane, make_sites
+from repro.control.scenario import job_fields
 from repro.failures.injector import FaultInjector
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike, split_rng
@@ -277,15 +278,7 @@ def build_scorecard(
 ) -> Dict[str, Any]:
     """The flat rollout scorecard, keys sorted, values rounded."""
     card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        for key in totals:
-            totals[key] += counts[cls.label][key]
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
+    card.update(job_fields(plane, classes=()))
     card["rollout.candidate"] = rollout.candidate.version
     card["rollout.stage"] = rollout.stage.value
     card["rollout.regression_detected"] = bool(verdict["regression"])
@@ -311,7 +304,7 @@ def build_scorecard(
     card["cluster.software_fallbacks"] = stats.software_fallbacks
     card["conservation.ok"] = bool(
         plane.ledger.conservation_report()["ok"]
-        and stats.completed_graphs == totals["done"]
+        and stats.completed_graphs == card["jobs.done"]
     )
     if tuple(sorted(card)) != scorecard_keys():
         raise RuntimeError("scorecard keys drifted from scorecard_keys()")

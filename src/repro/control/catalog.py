@@ -1,32 +1,48 @@
 """The scenario catalog: every deployment-narrative claim as an experiment.
 
-The paper's Section 5 story -- canary firmware rollouts, correlated
-outages under capped repair, sixteen months of post-launch tuning, and
+The paper's Section 5 story -- a platform day under a regional outage,
+live segment streaming, canary firmware rollouts, correlated outages
+under capped repair, sixteen months of post-launch tuning, and
 demand-mix disturbances -- lives here as one declarative catalog.  Each
-entry names a registered runner experiment (grids, seeds, schema
-fields, source modules) so ``repro-bench run`` and CI consume the same
-single source of truth, and :func:`scorecard_keys` dispatches to the
-right scenario module's static key set for the smoke-gate diffs.
+:class:`CatalogEntry` is the only declaration of its experiment: title,
+seed, grids, the scenario's config class and run function, source
+modules and summary columns.  :mod:`repro.runner.experiments` registers
+every entry from this table in one loop, and :func:`scorecard_keys`
+reads an entry's static key set for the smoke-gate diffs.
 
 This module is deliberately import-light (the registry contract: a
-cache-hot ``repro-bench run`` never touches the cluster simulator); the
-heavy scenario modules are imported lazily inside the unit runners and
-the key dispatch.
+cache-hot ``repro-bench run`` never touches the cluster simulator).
+Entries name the scenario code as ``"module:attribute"`` strings that
+:func:`resolve` imports at call time.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-#: Bump when any catalog entry's grid/seed/schema contract changes.
-CATALOG_VERSION = 1
+# --------------------------------------------------------------------- #
+# Global platform day (the control plane's flagship robustness scenario).
+
+PLATFORM_DAY_SEED = 11
+PLATFORM_DAY_SECONDS = 3600.0
+PLATFORM_DAY_SMOKE_SECONDS = 900.0
+
+# --------------------------------------------------------------------- #
+# Live ladder (the streaming latency flagship scenario).
+
+LIVE_LADDER_SEED = 13
+LIVE_LADDER_SECONDS = 900.0
+LIVE_LADDER_SMOKE_SECONDS = 360.0
+#: Device fault pressure in both arms, per VCU-hour.
+LIVE_LADDER_HANG_RATE = 0.5
+LIVE_LADDER_CORRUPTION_RATE = 0.5
 
 # --------------------------------------------------------------------- #
 # Figure 9 replay settings: the single source of truth shared by
-# runner/experiments.py, benchmarks/test_fig9_scaling.py, and the
-# tuning-timeline experiment below (they used to duplicate these under
-# "must match" comments).
+# benchmarks/test_fig9_scaling.py and the tuning-timeline experiment
+# below.
 
 FIG9_MONTHS = 12
 FIG9_SEED = 5
@@ -72,6 +88,32 @@ SURGE_SEED = 23
 SURGE_DAY_SECONDS = 3600.0
 SURGE_SMOKE_DAY_SECONDS = 900.0
 SURGE_SCENARIOS: Tuple[str, ...] = ("popularity-surge", "live-mix-shift")
+
+
+def platform_day_grid(smoke: bool = False) -> List[Dict[str, Any]]:
+    day = PLATFORM_DAY_SMOKE_SECONDS if smoke else PLATFORM_DAY_SECONDS
+    return [
+        {
+            "outage": outage,
+            "day_seconds": day,
+            "scenario_seed": PLATFORM_DAY_SEED,
+        }
+        for outage in (False, True)
+    ]
+
+
+def live_ladder_grid(smoke: bool = False) -> List[Dict[str, Any]]:
+    horizon = LIVE_LADDER_SMOKE_SECONDS if smoke else LIVE_LADDER_SECONDS
+    return [
+        {
+            "outage": outage,
+            "horizon_seconds": horizon,
+            "hang_rate": LIVE_LADDER_HANG_RATE,
+            "corruption_rate": LIVE_LADDER_CORRUPTION_RATE,
+            "scenario_seed": LIVE_LADDER_SEED,
+        }
+        for outage in (False, True)
+    ]
 
 
 def canary_grid(smoke: bool = False) -> List[Dict[str, Any]]:
@@ -220,50 +262,172 @@ def run_tuning_month(
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One registered scenario experiment's declarative contract."""
+    """One registered scenario experiment, declared once."""
 
     name: str
     title: str
     seed: int
     #: The unit-result keys beyond "scorecard" (the arm parameters).
     arm_fields: Tuple[str, ...]
+    #: ``grid(smoke)``: the full (False) or smoke (True) parameter grid.
+    grid: Callable[[bool], List[Dict[str, Any]]]
+    #: ``"module:function"`` running one unit.  With a ``config`` it is
+    #: called as ``run(config, seed=params["scenario_seed"])`` and its
+    #: result carries ``.scorecard``; without one, ``run(**params)``
+    #: returns the scorecard itself.
+    run: str
+    #: ``"module:Class"`` built from the grid parameters, or ``""``.
+    config: str
+    #: ``"module:function"`` returning the static, sorted scorecard keys.
+    keys: str
     #: Dotted modules fingerprinting the experiment's code for the cache.
     sources: Tuple[str, ...]
+    #: Summary columns in report order: (column, scorecard key).  Rows
+    #: lead with the arm fields.
+    columns: Tuple[Tuple[str, str], ...]
+    #: Grid keys whose config field is named differently (the grid key
+    #: is manifest bytes; the config field is the API).
+    renames: Tuple[Tuple[str, str], ...] = ()
 
 
 CATALOG: Tuple[CatalogEntry, ...] = (
+    CatalogEntry(
+        name="platform-day",
+        title="Global platform day — SLO scorecard under a regional outage",
+        seed=PLATFORM_DAY_SEED,
+        arm_fields=("outage",),
+        grid=platform_day_grid,
+        run="repro.control.scenario:run_global_platform_day",
+        config="repro.control.scenario:ScenarioConfig",
+        keys="repro.control.scenario:scorecard_keys",
+        sources=("repro.control.scenario",),
+        columns=(
+            ("submitted", "jobs.submitted"),
+            ("done", "jobs.done"),
+            ("shed_batch", "class.batch.shed"),
+            ("shed_upload", "class.upload.shed"),
+            ("shed_live", "class.live.shed"),
+            ("failover_routed", "failover.routed"),
+            ("autoscale_actions", "autoscale.actions"),
+            ("live_completion", "class.live.completion_rate"),
+            ("conservation_ok", "conservation.ok"),
+        ),
+    ),
+    CatalogEntry(
+        name="live-ladder",
+        title="Live ladder — time-to-first-segment SLOs under segment streaming",
+        seed=LIVE_LADDER_SEED,
+        arm_fields=("outage",),
+        grid=live_ladder_grid,
+        run="repro.control.live_ladder:run_live_ladder",
+        config="repro.control.live_ladder:LiveLadderConfig",
+        keys="repro.control.live_ladder:scorecard_keys",
+        sources=("repro.control.live_ladder",),
+        columns=(
+            ("streams", "streams.completed"),
+            ("segments", "segments.manifested"),
+            ("segments_lost", "segments.lost"),
+            ("ttfs_p50", "ttfs.p50"),
+            ("ttfs_p99", "ttfs.p99"),
+            ("stall_p99", "stall.p99"),
+            ("deadline_miss_rate", "deadline.miss_rate"),
+            ("opportunistic_fallbacks", "fallback.opportunistic"),
+            ("cluster_hangs", "cluster.hangs"),
+            ("conservation_ok", "conservation.ok"),
+        ),
+        renames=(
+            ("hang_rate", "hang_rate_per_hour"),
+            ("corruption_rate", "corruption_rate_per_hour"),
+        ),
+    ),
     CatalogEntry(
         name="canary-rollout",
         title="Firmware canary rollout — regression detection and rollback",
         seed=CANARY_SEED,
         arm_fields=("candidate",),
+        grid=canary_grid,
+        run="repro.control.canary:run_canary_rollout",
+        config="repro.control.canary:CanaryConfig",
+        keys="repro.control.canary:scorecard_keys",
         sources=("repro.control.canary",),
+        columns=(
+            ("stage", "rollout.stage"),
+            ("regression_detected", "rollout.regression_detected"),
+            ("throughput_delta", "delta.throughput_frac"),
+            ("unhealthy_delta", "delta.unhealthy_frac"),
+            ("hangs", "cluster.hangs"),
+            ("quarantined", "cluster.workers_quarantined"),
+            ("jobs_done", "jobs.done"),
+            ("conservation_ok", "conservation.ok"),
+        ),
     ),
     CatalogEntry(
         name="chaos-campaign",
         title="Correlated-outage chaos campaign — blast radius × repair capacity",
         seed=CHAOS_SEED,
         arm_fields=("blast_hosts", "repair_cap"),
+        grid=chaos_grid,
+        run="repro.control.chaos:run_chaos_campaign",
+        config="repro.control.chaos:ChaosCampaignConfig",
+        keys="repro.control.chaos:scorecard_keys",
         sources=("repro.control.chaos",),
+        columns=(
+            ("jobs_completed", "jobs.completed"),
+            ("hangs", "cluster.hangs"),
+            ("disabled_by_sweeps", "fleet.disabled_by_sweeps"),
+            ("hosts_repaired", "repair.hosts_repaired"),
+            ("available_end", "fleet.available_end"),
+            ("availability_exact", "availability.exact"),
+            ("conservation_ok", "conservation.ok"),
+        ),
     ),
     CatalogEntry(
         name="tuning-timeline",
         title="Figures 9/10 — 16-month launch-and-iterate tuning timeline",
         seed=TIMELINE_SEED,
         arm_fields=("month",),
+        grid=timeline_grid,
+        run="repro.control.catalog:run_tuning_month",
+        config="",
+        keys="repro.control.catalog:timeline_scorecard_keys",
         sources=("repro.control.catalog",),
+        columns=(
+            ("throughput_mpix_s", "throughput_mpix_s"),
+            ("vcu_workers", "vcu_workers"),
+            ("decoder_util", "decoder_util"),
+            ("encoder_util", "encoder_util"),
+            ("bitrate_vs_sw_h264", "bitrate_vs_software.h264"),
+            ("bitrate_vs_sw_vp9", "bitrate_vs_software.vp9"),
+            ("milestones", "milestones_shipped"),
+        ),
     ),
     CatalogEntry(
         name="surge-mix",
         title="Demand disturbances — popularity surge and live mix shift",
         seed=SURGE_SEED,
         arm_fields=("scenario",),
+        grid=surge_grid,
+        run="repro.control.surge:run_surge_mix",
+        config="repro.control.surge:SurgeMixConfig",
+        keys="repro.control.surge:scorecard_keys",
         sources=("repro.control.surge",),
+        columns=(
+            ("submitted", "jobs.submitted"),
+            ("done", "jobs.done"),
+            ("jobs_in_window", "event.jobs_in_window"),
+            ("live_completion", "class.live.completion_rate"),
+            ("autoscale_actions", "autoscale.actions"),
+            ("failover_routed", "failover.routed"),
+            ("conservation_ok", "conservation.ok"),
+        ),
     ),
 )
 
-#: The registry group every catalog experiment is registered under.
-CATALOG_GROUP = "catalog"
+
+def resolve(path: str) -> Any:
+    """The attribute a ``"module:attribute"`` string names, imported now."""
+    module, _, attribute = path.partition(":")
+    return getattr(importlib.import_module(module), attribute)
 
 
 def catalog_names() -> Tuple[str, ...]:
@@ -271,25 +435,20 @@ def catalog_names() -> Tuple[str, ...]:
     return tuple(entry.name for entry in CATALOG)
 
 
+def catalog_entry(name: str) -> CatalogEntry:
+    """One catalog experiment's entry, by name."""
+    for entry in CATALOG:
+        if entry.name == name:
+            return entry
+    known = ", ".join(catalog_names())
+    raise KeyError(f"unknown catalog experiment {name!r}; known: {known}")
+
+
 def scorecard_keys(name: str) -> Tuple[str, ...]:
     """The static scorecard key set for one catalog experiment.
 
-    Lazy dispatch: resolving a key set must not import the heavy
-    scenario modules until a gate actually asks for it.
+    Lazy: resolving a key set imports the scenario module only when a
+    gate actually asks for it.
     """
-    if name == "canary-rollout":
-        from repro.control.canary import scorecard_keys as keys
-
-        return keys()
-    if name == "chaos-campaign":
-        from repro.control.chaos import scorecard_keys as keys
-
-        return keys()
-    if name == "tuning-timeline":
-        return timeline_scorecard_keys()
-    if name == "surge-mix":
-        from repro.control.surge import scorecard_keys as keys
-
-        return keys()
-    known = ", ".join(catalog_names())
-    raise KeyError(f"unknown catalog experiment {name!r}; known: {known}")
+    keys: Tuple[str, ...] = resolve(catalog_entry(name).keys)()
+    return keys

@@ -28,6 +28,7 @@ from repro.cluster.cluster import TranscodeCluster
 from repro.cluster.worker import CpuWorker, VcuWorker
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.plane import ControlPlane, make_sites
+from repro.control.scenario import job_fields
 from repro.control.streaming import StreamingExecutor
 from repro.failures.injector import FaultInjector
 from repro.obs.latency import LadderMetrics
@@ -47,7 +48,7 @@ DEFAULT_RUNGS: Tuple[str, ...] = tuple(
     r.name for r in output_ladder(resolution("1080p"))
 )
 
-_CLASSES = ("live", "upload")
+_CLASSES = (SloClass.LIVE, SloClass.UPLOAD)
 _PER_CLASS_FIELDS = ("submitted", "done", "shed", "queue_p50", "queue_p99")
 _GLOBAL_FIELDS = (
     "schema_version",
@@ -68,8 +69,8 @@ _GLOBAL_FIELDS = (
 def scorecard_keys(rungs: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
     """The exact, sorted key set every live-ladder scorecard carries."""
     keys = list(_GLOBAL_FIELDS)
-    for label in _CLASSES:
-        keys.extend(f"class.{label}.{f}" for f in _PER_CLASS_FIELDS)
+    for cls in _CLASSES:
+        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
     for rung in (DEFAULT_RUNGS if rungs is None else tuple(rungs)):
         keys.append(f"rung.{rung}.queue_p50")
         keys.append(f"rung.{rung}.queue_p99")
@@ -203,24 +204,7 @@ def build_scorecard(
     """The flat latency scorecard, keys sorted, values rounded."""
     metrics = dispatcher.metrics
     card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        for key in totals:
-            totals[key] += counts[cls.label][key]
-    for cls in (SloClass.LIVE, SloClass.UPLOAD):
-        bucket = counts[cls.label]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = bucket["submitted"]
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
+    card.update(job_fields(plane, _CLASSES, _PER_CLASS_FIELDS))
     card["streams.started"] = metrics.streams_started
     card["streams.completed"] = metrics.streams_completed
     card["segments.released"] = metrics.segments_released

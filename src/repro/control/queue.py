@@ -18,7 +18,6 @@ longest anyway).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
@@ -37,17 +36,6 @@ class TransitionRecord:
     site: Optional[str]
     attempt: int
     reason: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at": round(self.at, 9),
-            "job": self.job_id,
-            "from": None if self.from_state is None else self.from_state.value,
-            "to": self.to_state.value,
-            "site": self.site,
-            "attempt": self.attempt,
-            "reason": self.reason,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,12 +131,6 @@ class JobLedger:
             "nonterminal": nonterminal,
             "ok": submitted == accounted and not nonterminal,
         }
-
-    def write_jsonl(self, path: str) -> None:
-        """Dump the transition log, one record per line (the durable form)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
     def __len__(self) -> int:
         return len(self.jobs)

@@ -18,7 +18,7 @@ fails the key diff before anyone reads a dashboard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.cluster.autoscale import CapacityAutoscaleConfig
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
@@ -42,7 +42,8 @@ DEFAULT_SITES: Tuple[Tuple[str, str, Tuple[float, float], int], ...] = (
     ("ap-south", "apac", (160.0, -10.0), 32),
 )
 
-_PER_CLASS_FIELDS = (
+#: The per-class SLO block :func:`job_fields` emits by default.
+CLASS_FIELDS: Tuple[str, ...] = (
     "submitted", "done", "failed", "shed", "retries",
     "completion_rate", "shed_rate", "queue_p50", "queue_p90", "queue_p99",
 )
@@ -61,7 +62,7 @@ def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every scorecard carries."""
     keys = list(_GLOBAL_FIELDS)
     for cls in SloClass:
-        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
+        keys.extend(f"class.{cls.label}.{f}" for f in CLASS_FIELDS)
     return tuple(sorted(keys))
 
 
@@ -115,36 +116,51 @@ class ScenarioResult:
     scorecard: Dict[str, Any]
 
 
+def job_fields(
+    plane: ControlPlane,
+    classes: Sequence[SloClass] = tuple(SloClass),
+    fields: Sequence[str] = CLASS_FIELDS,
+) -> Dict[str, Any]:
+    """The scorecard fields every control-plane scenario shares.
+
+    The fleet-wide ``jobs.{submitted,done,failed,shed}`` totals, then
+    ``class.<label>.<field>`` for each of ``fields`` in each of
+    ``classes`` (``classes=()`` gives the totals alone).
+    """
+    counts = plane.class_counts()
+    card: Dict[str, Any] = {
+        f"jobs.{key}": sum(counts[cls.label][key] for cls in SloClass)
+        for key in ("submitted", "done", "failed", "shed")
+    }
+    for cls in classes:
+        bucket = counts[cls.label]
+        submitted = bucket["submitted"]
+        hist = plane.queue_wait[cls]
+        block = {
+            "submitted": submitted,
+            "done": bucket["done"],
+            "failed": bucket["failed"],
+            "shed": bucket["shed"],
+            "retries": bucket["retries"],
+            "completion_rate": round(
+                bucket["done"] / submitted if submitted else 0.0, 6
+            ),
+            "shed_rate": round(
+                bucket["shed"] / submitted if submitted else 0.0, 6
+            ),
+            "queue_p50": round(hist.quantile(0.50), 9),
+            "queue_p90": round(hist.quantile(0.90), 9),
+            "queue_p99": round(hist.quantile(0.99), 9),
+        }
+        for field in fields:
+            card[f"class.{cls.label}.{field}"] = block[field]
+    return card
+
+
 def build_scorecard(plane: ControlPlane) -> Dict[str, Any]:
     """The flat SLO scorecard, keys sorted, values rounded."""
     card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        bucket = counts[cls.label]
-        submitted = bucket["submitted"]
-        for key in totals:
-            totals[key] += bucket[key]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = submitted
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.failed"] = bucket["failed"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.retries"] = bucket["retries"]
-        card[f"{prefix}.completion_rate"] = round(
-            bucket["done"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.shed_rate"] = round(
-            bucket["shed"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p90"] = round(hist.quantile(0.90), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
+    card.update(job_fields(plane))
     card["failover.routed"] = plane.router.failover_routed
     card["failover.drained_queued"] = plane.drained_queued
     card["failover.drained_running"] = plane.drained_running

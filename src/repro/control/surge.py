@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Tuple
 from repro.cluster.autoscale import CapacityAutoscaleConfig
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.plane import ControlPlane, ModeledExecutor, make_sites
-from repro.control.scenario import DEFAULT_SITES
+from repro.control.scenario import CLASS_FIELDS, DEFAULT_SITES, job_fields
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike
 from repro.workloads.events import EventedDayWorkload, MixShiftSpec, SurgeSpec
@@ -40,10 +40,6 @@ SCORECARD_VERSION = 1
 #: The two registered disturbance scenarios.
 SCENARIOS: Tuple[str, ...] = ("popularity-surge", "live-mix-shift")
 
-_PER_CLASS_FIELDS = (
-    "submitted", "done", "failed", "shed", "retries",
-    "completion_rate", "shed_rate", "queue_p50", "queue_p90", "queue_p99",
-)
 _GLOBAL_FIELDS = (
     "schema_version", "scenario",
     "event.start", "event.end", "event.jobs_in_window",
@@ -59,7 +55,7 @@ def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every disturbance scorecard carries."""
     keys = list(_GLOBAL_FIELDS)
     for cls in SloClass:
-        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
+        keys.extend(f"class.{cls.label}.{f}" for f in CLASS_FIELDS)
     return tuple(sorted(keys))
 
 
@@ -121,38 +117,12 @@ def build_scorecard(
 ) -> Dict[str, Any]:
     """The flat disturbance scorecard, keys sorted, values rounded."""
     card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        bucket = counts[cls.label]
-        submitted = bucket["submitted"]
-        for key in totals:
-            totals[key] += bucket[key]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = submitted
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.failed"] = bucket["failed"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.retries"] = bucket["retries"]
-        card[f"{prefix}.completion_rate"] = round(
-            bucket["done"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.shed_rate"] = round(
-            bucket["shed"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p90"] = round(hist.quantile(0.90), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
+    card.update(job_fields(plane))
     start, end = config.event_window()
     card["scenario"] = config.scenario
     card["event.start"] = round(start, 9)
     card["event.end"] = round(end, 9)
     card["event.jobs_in_window"] = jobs_in_window
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
     card["failover.routed"] = plane.router.failover_routed
     card["spill.routed"] = plane.router.spill_routed
     autoscaler = plane.autoscaler

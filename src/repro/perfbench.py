@@ -13,17 +13,16 @@ very different speed):
   a tie-heavy (aligned) and a tie-free (scattered) workload;
 * the batched transform kernels, reported as absolute throughput.
 
-``bench_fleet`` is the end-to-end face of the same work: a 50k-VCU
-cluster with sampled telemetry runs a multi-hour simulated day --
-uploads arriving continuously, the failure sweeper disabling and
-repairing devices underneath -- and reports how many simulated seconds
-each wall second buys.
+The end-to-end face of the same work is the benchmark's fleet day,
+``python3 bench/run.py --workload fleet-day``: a fleet with sampled
+telemetry runs a simulated day -- uploads arriving continuously, the
+failure sweeper disabling and repairing devices underneath -- and
+reports how many simulated seconds each wall second buys.
 
 ``repro-bench perf`` runs everything and writes ``BENCH_PR8.json`` so CI
 can archive the numbers per commit; ``--smoke`` shrinks the workload for
-a quick regression signal and ``--fleet`` runs the fleet day at full
-50k-VCU scale.  Wall-clock measurements are best-of-N to cut scheduler
-noise.
+a quick regression signal.  Wall-clock measurements are best-of-N to cut
+scheduler noise.
 """
 
 from __future__ import annotations
@@ -238,106 +237,6 @@ def bench_calendar(smoke: bool = False, repeats: int = 3) -> Dict[str, Dict]:
     return results
 
 
-def bench_fleet(smoke: bool = False, full_scale: bool = False) -> Dict[str, object]:
-    """A day in the life of the fleet, end to end.
-
-    Builds a cluster with sampled telemetry, submits an upload stream
-    for a multi-hour simulated day, and runs the failure sweeper
-    underneath (hard faults disabling VCUs, capped repairs returning
-    them).  The headline number is ``sim_seconds_per_wall_s``:
-    how much fleet time one wall second simulates.  ``full_scale`` is the
-    paper-scale configuration -- 2500 hosts x 20 VCUs = 50,000 devices.
-    """
-    from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
-    from repro.failures import FailureManager, FailureSweeper, FaultInjector
-    from repro.sim.engine import Simulator
-    from repro.transcode import PopularityBucket, build_transcode_graph
-    from repro.vcu.host import VcuHost
-    from repro.vcu.telemetry import FaultKind
-    from repro.video.frame import resolution
-
-    if full_scale:
-        hosts_n, cpus_n, horizon, interval = 2500, 500, 4 * 3600.0, 2.0
-    elif smoke:
-        hosts_n, cpus_n, horizon, interval = 10, 8, 900.0, 3.0
-    else:
-        hosts_n, cpus_n, horizon, interval = 100, 40, 3600.0, 1.5
-
-    sim = Simulator()
-    hosts = [VcuHost(host_id=f"fleet-{i}") for i in range(hosts_n)]
-    vcu_workers = [
-        VcuWorker(vcu, host=host, golden_screening=False)
-        for host in hosts
-        for vcu in host.vcus
-    ]
-    cpu_workers = [CpuWorker(cores=16) for _ in range(cpus_n)]
-    cluster = TranscodeCluster(
-        sim,
-        vcu_workers,
-        cpu_workers,
-        telemetry_mode="sampled",
-        telemetry_sample_seconds=15.0,
-        seed=8,
-    )
-    manager = FailureManager(hosts, repair_cap=8, card_swap_threshold=2)
-    sweeper = FailureSweeper(
-        sim, manager, interval_seconds=60.0, repair_seconds=900.0,
-        cluster=cluster,
-    )
-    sweeper.start(until=horizon)
-    injector = FaultInjector(
-        sim, [vcu for host in hosts for vcu in host.vcus], seed=17
-    )
-    # A light hard-fault drizzle: enough to disable devices and exercise
-    # the repair + availability-notification paths, not enough to turn
-    # the day into a fault benchmark.
-    faults = injector.random_hard_faults(
-        0.0005, until=horizon, kind=FaultKind.ECC_UNCORRECTABLE, count=3,
-    )
-
-    source = resolution("720p")
-    submitted = 0
-
-    def uploader() -> object:
-        nonlocal submitted
-        while sim.now + interval <= horizon:
-            yield interval
-            cluster.submit(
-                build_transcode_graph(
-                    video_id=f"day-v{submitted}",
-                    source=source,
-                    total_frames=300,
-                    fps=30.0,
-                    bucket=PopularityBucket.WARM,
-                )
-            )
-            submitted += 1
-
-    sim.process(uploader(), name="fleet-uploader")
-    t0 = time.perf_counter()  # lint: allow=determinism -- wall-clock harness
-    sim.run()
-    wall_s = time.perf_counter() - t0  # lint: allow=determinism -- wall-clock harness
-    telemetry_flushes = (
-        cluster._fleet_telemetry.flushes if cluster._fleet_telemetry else 0
-    )
-    return {
-        "scale": "50k" if full_scale else ("smoke" if smoke else "2k"),
-        "vcus": len(vcu_workers),
-        "hosts": hosts_n,
-        "cpu_workers": cpus_n,
-        "simulated_hours": round(sim.now / 3600.0, 2),
-        "graphs_submitted": submitted,
-        "graphs_completed": cluster.stats.completed_graphs,
-        "steps_completed": cluster.stats.completed_steps,
-        "faults_injected": len(faults),
-        "sweeps": sweeper.sweeps,
-        "repairs_completed": sweeper.repairs_completed,
-        "telemetry_flushes": telemetry_flushes,
-        "wall_s": round(wall_s, 2),
-        "sim_seconds_per_wall_s": round(sim.now / wall_s) if wall_s > 0 else 0,
-    }
-
-
 def bench_kernels(smoke: bool = False, repeats: int = 5) -> Dict[str, Dict]:
     """Batched transform stack vs the equivalent per-block scalar loop."""
     from repro.codec.kernels import batch_transform_rd
@@ -357,7 +256,7 @@ def bench_kernels(smoke: bool = False, repeats: int = 5) -> Dict[str, Dict]:
     return {"transform_rd": result}
 
 
-def run_all(smoke: bool = False, fleet: bool = False) -> Dict[str, Dict]:
+def run_all(smoke: bool = False) -> Dict[str, Dict]:
     report = {
         "benchmark": "PR8 calendar engine + fleet-scale hot paths",
         "smoke": smoke,
@@ -366,17 +265,14 @@ def run_all(smoke: bool = False, fleet: bool = False) -> Dict[str, Dict]:
         "engine": bench_engine(smoke=smoke),
         "calendar": bench_calendar(smoke=smoke),
         "kernels": bench_kernels(smoke=smoke),
-        "fleet": bench_fleet(smoke=smoke, full_scale=fleet),
     }
     return report
 
 
-def write_report(
-    path: str, smoke: bool = False, fleet: bool = False
-) -> Dict[str, Dict]:
+def write_report(path: str, smoke: bool = False) -> Dict[str, Dict]:
     from repro.runner.manifest import dump_json
 
-    report = run_all(smoke=smoke, fleet=fleet)
+    report = run_all(smoke=smoke)
     dump_json(path, report)
     return report
 
@@ -410,13 +306,5 @@ def render(report: Dict[str, Dict]) -> str:
     lines.append(
         f"  batched transform ({kern['blocks']} blocks):"
         f" {kern['speedup']:.2f}x vs per-block loop"
-    )
-    fleet = report["fleet"]
-    lines.append(
-        f"  fleet day ({fleet['scale']}: {fleet['vcus']:,} VCUs,"
-        f" {fleet['graphs_completed']:,} graphs,"
-        f" {fleet['simulated_hours']:.1f}h simulated):"
-        f" {fleet['wall_s']:.1f}s wall"
-        f" ({fleet['sim_seconds_per_wall_s']:,} sim-s per wall-s)"
     )
     return "\n".join(lines)

@@ -17,7 +17,8 @@ sweep:
 * :mod:`repro.runner.manifest` -- the canonical ``BENCH_PR5.json``
   manifest and EXPERIMENTS.md-style markdown report;
 * :mod:`repro.runner.experiments` -- the default registry wrapping the
-  ``benchmarks/`` logic (Table 1, Table 2, Figure 7, Figure 9).
+  ``benchmarks/`` logic (Table 1, Table 2, Figure 7) and registering
+  every :mod:`repro.control.catalog` scenario from its table entry.
 
 Surfaced through ``repro-bench run [--jobs N] [--cache-dir DIR]``.
 """

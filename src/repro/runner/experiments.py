@@ -15,16 +15,16 @@ run`` never touches the codec or the cluster simulator.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List, Sequence
 
 from repro.control import catalog
-from repro.control.catalog import (  # re-exported: the shared Figure 9
-    FIG9_BASE_VCU_WORKERS,  # settings live in the catalog now, one copy
-    FIG9_HORIZON_SECONDS,  # for this module, the timeline experiment,
-    FIG9_MONTHS,  # and benchmarks/test_fig9_scaling.py
-    FIG9_SEED,
+from repro.runner.registry import (
+    Experiment,
+    ExperimentRegistry,
+    ResultSchema,
+    UnitContext,
 )
-from repro.runner.registry import ExperimentRegistry, ResultSchema, UnitContext
 
 _DEFAULT = ExperimentRegistry()
 
@@ -33,18 +33,6 @@ _DEFAULT = ExperimentRegistry()
 FIG7_FRAMES = 6
 FIG7_PROXY_HEIGHT = 60
 FIG7_SEED = 2
-
-#: Global-platform-day settings (the control-plane flagship scenario).
-PLATFORM_DAY_SEED = 11
-PLATFORM_DAY_SECONDS = 3600.0
-PLATFORM_DAY_SMOKE_SECONDS = 900.0
-
-#: Live-ladder settings (the streaming latency flagship scenario).
-LIVE_LADDER_SEED = 13
-LIVE_LADDER_SECONDS = 900.0
-LIVE_LADDER_SMOKE_SECONDS = 360.0
-LIVE_LADDER_HANG_RATE = 0.5
-LIVE_LADDER_CORRUPTION_RATE = 0.5
 
 
 def default_registry() -> ExperimentRegistry:
@@ -209,75 +197,6 @@ def fig7_unit(ctx: UnitContext) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# Figure 9 -- post-launch deployment-timeline replay
-
-
-def _fig9_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    ordered = sorted(results, key=lambda r: r["month"])
-    base = ordered[0]["throughput_mpix_s"] or 1.0
-    return [
-        {
-            "month": r["month"],
-            "normalized_throughput": round(r["throughput_mpix_s"] / base, 3),
-            "decoder_util": r["decoder_util"],
-            "encoder_util": r["encoder_util"],
-            "vcu_workers": r["vcu_workers"],
-            "paper_note": "~10x by month 12; decoder util ~0.98 -> ~0.91",
-        }
-        for r in ordered
-    ]
-
-
-@_DEFAULT.experiment(
-    name="fig9-timeline",
-    title="Figure 9 — post-launch workload scaling (12-month replay)",
-    grid=[
-        {
-            "month": month,
-            "workload_seed": FIG9_SEED,
-            "horizon_seconds": FIG9_HORIZON_SECONDS,
-            "base_vcu_workers": FIG9_BASE_VCU_WORKERS,
-        }
-        for month in range(1, FIG9_MONTHS + 1)
-    ],
-    smoke_grid=[
-        {
-            "month": month,
-            "workload_seed": FIG9_SEED,
-            "horizon_seconds": 40.0,
-            "base_vcu_workers": FIG9_BASE_VCU_WORKERS,
-        }
-        for month in (1, 6, 12)
-    ],
-    seed=FIG9_SEED,
-    schema=ResultSchema(version=1, fields=(
-        "month", "throughput_mpix_s", "total_megapixels",
-        "decoder_util", "encoder_util", "vcu_workers",
-    )),
-    summarize=_fig9_summarize,
-)
-def fig9_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.cluster.timeline import default_timeline, run_month
-
-    month = ctx.params["month"]
-    config = default_timeline(month)[-1]
-    result = run_month(
-        config,
-        base_vcu_workers=ctx.params["base_vcu_workers"],
-        horizon_seconds=ctx.params["horizon_seconds"],
-        seed=ctx.params["workload_seed"],
-    )
-    return {
-        "month": result.month,
-        "throughput_mpix_s": round(result.throughput_mpix_s, 4),
-        "total_megapixels": round(result.total_megapixels, 3),
-        "decoder_util": round(result.decoder_utilization, 5),
-        "encoder_util": round(result.encoder_utilization, 5),
-        "vcu_workers": result.vcu_workers,
-    }
-
-
-# --------------------------------------------------------------------- #
 # Table 2 -- host resources at 153 Gpixel/s
 
 _TABLE2_PAPER = {
@@ -300,135 +219,6 @@ def _table2_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]
                 "paper_dram_gbps": None if paper is None else paper[1],
             })
     return rows
-
-
-# --------------------------------------------------------------------- #
-# Global platform day -- the control plane's flagship robustness scenario
-
-
-def _platform_day_summarize(
-    results: Sequence[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["outage"]):
-        card = result["scorecard"]
-        rows.append({
-            "outage": result["outage"],
-            "submitted": card["jobs.submitted"],
-            "done": card["jobs.done"],
-            "shed_batch": card["class.batch.shed"],
-            "shed_upload": card["class.upload.shed"],
-            "shed_live": card["class.live.shed"],
-            "failover_routed": card["failover.routed"],
-            "autoscale_actions": card["autoscale.actions"],
-            "live_completion": card["class.live.completion_rate"],
-            "conservation_ok": card["conservation.ok"],
-        })
-    return rows
-
-
-@_DEFAULT.experiment(
-    name="platform-day",
-    title="Global platform day — SLO scorecard under a regional outage",
-    grid=[
-        {"outage": False, "day_seconds": PLATFORM_DAY_SECONDS,
-         "scenario_seed": PLATFORM_DAY_SEED},
-        {"outage": True, "day_seconds": PLATFORM_DAY_SECONDS,
-         "scenario_seed": PLATFORM_DAY_SEED},
-    ],
-    smoke_grid=[
-        {"outage": False, "day_seconds": PLATFORM_DAY_SMOKE_SECONDS,
-         "scenario_seed": PLATFORM_DAY_SEED},
-        {"outage": True, "day_seconds": PLATFORM_DAY_SMOKE_SECONDS,
-         "scenario_seed": PLATFORM_DAY_SEED},
-    ],
-    seed=PLATFORM_DAY_SEED,
-    schema=ResultSchema(version=1, fields=("outage", "scorecard")),
-    summarize=_platform_day_summarize,
-    sources=("repro.control.scenario",),
-)
-def platform_day_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.control.scenario import ScenarioConfig, run_global_platform_day
-
-    config = ScenarioConfig(
-        day_seconds=ctx.params["day_seconds"],
-        outage=ctx.params["outage"],
-    )
-    result = run_global_platform_day(config, seed=ctx.params["scenario_seed"])
-    return {
-        "outage": ctx.params["outage"],
-        "scorecard": result.scorecard,
-    }
-
-
-# --------------------------------------------------------------------- #
-# Live ladder -- segment streams, alignment barriers, latency scorecard
-
-
-def _live_ladder_summarize(
-    results: Sequence[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["outage"]):
-        card = result["scorecard"]
-        rows.append({
-            "outage": result["outage"],
-            "streams": card["streams.completed"],
-            "segments": card["segments.manifested"],
-            "segments_lost": card["segments.lost"],
-            "ttfs_p50": card["ttfs.p50"],
-            "ttfs_p99": card["ttfs.p99"],
-            "stall_p99": card["stall.p99"],
-            "deadline_miss_rate": card["deadline.miss_rate"],
-            "opportunistic_fallbacks": card["fallback.opportunistic"],
-            "cluster_hangs": card["cluster.hangs"],
-            "conservation_ok": card["conservation.ok"],
-        })
-    return rows
-
-
-@_DEFAULT.experiment(
-    name="live-ladder",
-    title="Live ladder — time-to-first-segment SLOs under segment streaming",
-    grid=[
-        {"outage": False, "horizon_seconds": LIVE_LADDER_SECONDS,
-         "hang_rate": LIVE_LADDER_HANG_RATE,
-         "corruption_rate": LIVE_LADDER_CORRUPTION_RATE,
-         "scenario_seed": LIVE_LADDER_SEED},
-        {"outage": True, "horizon_seconds": LIVE_LADDER_SECONDS,
-         "hang_rate": LIVE_LADDER_HANG_RATE,
-         "corruption_rate": LIVE_LADDER_CORRUPTION_RATE,
-         "scenario_seed": LIVE_LADDER_SEED},
-    ],
-    smoke_grid=[
-        {"outage": False, "horizon_seconds": LIVE_LADDER_SMOKE_SECONDS,
-         "hang_rate": LIVE_LADDER_HANG_RATE,
-         "corruption_rate": LIVE_LADDER_CORRUPTION_RATE,
-         "scenario_seed": LIVE_LADDER_SEED},
-        {"outage": True, "horizon_seconds": LIVE_LADDER_SMOKE_SECONDS,
-         "hang_rate": LIVE_LADDER_HANG_RATE,
-         "corruption_rate": LIVE_LADDER_CORRUPTION_RATE,
-         "scenario_seed": LIVE_LADDER_SEED},
-    ],
-    seed=LIVE_LADDER_SEED,
-    schema=ResultSchema(version=1, fields=("outage", "scorecard")),
-    summarize=_live_ladder_summarize,
-    sources=("repro.control.live_ladder",),
-)
-def live_ladder_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
-
-    config = LiveLadderConfig(
-        horizon_seconds=ctx.params["horizon_seconds"],
-        outage=ctx.params["outage"],
-        hang_rate_per_hour=ctx.params["hang_rate"],
-        corruption_rate_per_hour=ctx.params["corruption_rate"],
-    )
-    result = run_live_ladder(config, seed=ctx.params["scenario_seed"])
-    return {
-        "outage": ctx.params["outage"],
-        "scorecard": result.scorecard,
-    }
 
 
 @_DEFAULT.experiment(
@@ -458,179 +248,54 @@ def table2_unit(ctx: UnitContext) -> Dict[str, Any]:
 
 # --------------------------------------------------------------------- #
 # Scenario catalog -- the Section 5 deployment narrative as experiments.
-# Grids, seeds, and horizons come from repro.control.catalog (one source
-# of truth shared with CI's scorecard-key gates); the heavy scenario
-# modules load lazily inside the unit callables.
+# Each repro.control.catalog entry is the experiment's only declaration;
+# the loop below registers all of them with one unit function and one
+# summary, each bound to its entry by functools.partial (a partial of a
+# module-level function pickles into the executor's shards).
 
 
-def _canary_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["candidate"]):
-        card = result["scorecard"]
-        rows.append({
-            "candidate": result["candidate"],
-            "stage": card["rollout.stage"],
-            "regression_detected": card["rollout.regression_detected"],
-            "throughput_delta": card["delta.throughput_frac"],
-            "unhealthy_delta": card["delta.unhealthy_frac"],
-            "hangs": card["cluster.hangs"],
-            "quarantined": card["cluster.workers_quarantined"],
-            "jobs_done": card["jobs.done"],
-            "conservation_ok": card["conservation.ok"],
-        })
-    return rows
+def _scenario_unit(
+    entry: catalog.CatalogEntry, ctx: UnitContext
+) -> Dict[str, Any]:
+    params = dict(ctx.params)
+    run = catalog.resolve(entry.run)
+    if entry.config:
+        seed = params.pop("scenario_seed")
+        renames = dict(entry.renames)
+        config = catalog.resolve(entry.config)(
+            **{renames.get(key, key): value for key, value in params.items()}
+        )
+        card = run(config, seed=seed).scorecard
+    else:
+        card = run(**params)
+    result = {field: ctx.params[field] for field in entry.arm_fields}
+    result["scorecard"] = card
+    return result
 
 
-@_DEFAULT.experiment(
-    name="canary-rollout",
-    title="Firmware canary rollout — regression detection and rollback",
-    grid=catalog.canary_grid(),
-    smoke_grid=catalog.canary_grid(smoke=True),
-    seed=catalog.CANARY_SEED,
-    schema=ResultSchema(version=1, fields=("candidate", "scorecard")),
-    summarize=_canary_summarize,
-    sources=("repro.control.canary",),
-    group=catalog.CATALOG_GROUP,
-)
-def canary_rollout_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.control.canary import CanaryConfig, run_canary_rollout
-
-    config = CanaryConfig(
-        candidate=ctx.params["candidate"],
-        horizon_seconds=ctx.params["horizon_seconds"],
-    )
-    result = run_canary_rollout(config, seed=ctx.params["scenario_seed"])
-    return {
-        "candidate": ctx.params["candidate"],
-        "scorecard": result.scorecard,
-    }
-
-
-def _chaos_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for result in sorted(
-        results, key=lambda r: (r["blast_hosts"], r["repair_cap"])
-    ):
-        card = result["scorecard"]
-        rows.append({
-            "blast_hosts": result["blast_hosts"],
-            "repair_cap": result["repair_cap"],
-            "jobs_completed": card["jobs.completed"],
-            "hangs": card["cluster.hangs"],
-            "disabled_by_sweeps": card["fleet.disabled_by_sweeps"],
-            "hosts_repaired": card["repair.hosts_repaired"],
-            "available_end": card["fleet.available_end"],
-            "availability_exact": card["availability.exact"],
-            "conservation_ok": card["conservation.ok"],
-        })
-    return rows
-
-
-@_DEFAULT.experiment(
-    name="chaos-campaign",
-    title="Correlated-outage chaos campaign — blast radius × repair capacity",
-    grid=catalog.chaos_grid(),
-    smoke_grid=catalog.chaos_grid(smoke=True),
-    seed=catalog.CHAOS_SEED,
-    schema=ResultSchema(
-        version=1, fields=("blast_hosts", "repair_cap", "scorecard")
-    ),
-    summarize=_chaos_summarize,
-    sources=("repro.control.chaos",),
-    group=catalog.CATALOG_GROUP,
-)
-def chaos_campaign_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.control.chaos import ChaosCampaignConfig, run_chaos_campaign
-
-    config = ChaosCampaignConfig(
-        horizon_seconds=ctx.params["horizon_seconds"],
-        blast_hosts=ctx.params["blast_hosts"],
-        repair_cap=ctx.params["repair_cap"],
-    )
-    result = run_chaos_campaign(config, seed=ctx.params["scenario_seed"])
-    return {
-        "blast_hosts": ctx.params["blast_hosts"],
-        "repair_cap": ctx.params["repair_cap"],
-        "scorecard": result.scorecard,
-    }
-
-
-def _timeline_summarize(
-    results: Sequence[Dict[str, Any]]
+def _scenario_summary(
+    entry: catalog.CatalogEntry, results: Sequence[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["month"]):
+    for result in sorted(
+        results, key=lambda r: tuple(r[field] for field in entry.arm_fields)
+    ):
         card = result["scorecard"]
-        rows.append({
-            "month": result["month"],
-            "throughput_mpix_s": card["throughput_mpix_s"],
-            "vcu_workers": card["vcu_workers"],
-            "encoder_util": card["encoder_util"],
-            "bitrate_vs_sw_h264": card["bitrate_vs_software.h264"],
-            "bitrate_vs_sw_vp9": card["bitrate_vs_software.vp9"],
-            "milestones": card["milestones_shipped"],
-        })
+        row = {field: result[field] for field in entry.arm_fields}
+        row.update((column, card[key]) for column, key in entry.columns)
+        rows.append(row)
     return rows
 
 
-@_DEFAULT.experiment(
-    name="tuning-timeline",
-    title="Figures 9/10 — 16-month launch-and-iterate tuning timeline",
-    grid=catalog.timeline_grid(),
-    smoke_grid=catalog.timeline_grid(smoke=True),
-    seed=catalog.TIMELINE_SEED,
-    schema=ResultSchema(version=1, fields=("month", "scorecard")),
-    summarize=_timeline_summarize,
-    sources=("repro.control.catalog",),
-    group=catalog.CATALOG_GROUP,
-)
-def tuning_timeline_unit(ctx: UnitContext) -> Dict[str, Any]:
-    card = catalog.run_tuning_month(
-        month=ctx.params["month"],
-        workload_seed=ctx.params["workload_seed"],
-        horizon_seconds=ctx.params["horizon_seconds"],
-        base_vcu_workers=ctx.params["base_vcu_workers"],
-    )
-    return {"month": ctx.params["month"], "scorecard": card}
-
-
-def _surge_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["scenario"]):
-        card = result["scorecard"]
-        rows.append({
-            "scenario": result["scenario"],
-            "submitted": card["jobs.submitted"],
-            "done": card["jobs.done"],
-            "jobs_in_window": card["event.jobs_in_window"],
-            "live_completion": card["class.live.completion_rate"],
-            "autoscale_actions": card["autoscale.actions"],
-            "failover_routed": card["failover.routed"],
-            "conservation_ok": card["conservation.ok"],
-        })
-    return rows
-
-
-@_DEFAULT.experiment(
-    name="surge-mix",
-    title="Demand disturbances — popularity surge and live mix shift",
-    grid=catalog.surge_grid(),
-    smoke_grid=catalog.surge_grid(smoke=True),
-    seed=catalog.SURGE_SEED,
-    schema=ResultSchema(version=1, fields=("scenario", "scorecard")),
-    summarize=_surge_summarize,
-    sources=("repro.control.surge",),
-    group=catalog.CATALOG_GROUP,
-)
-def surge_mix_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.control.surge import SurgeMixConfig, run_surge_mix
-
-    config = SurgeMixConfig(
-        scenario=ctx.params["scenario"],
-        day_seconds=ctx.params["day_seconds"],
-    )
-    result = run_surge_mix(config, seed=ctx.params["scenario_seed"])
-    return {
-        "scenario": ctx.params["scenario"],
-        "scorecard": result.scorecard,
-    }
+for _entry in catalog.CATALOG:
+    _DEFAULT.add(Experiment(
+        name=_entry.name,
+        title=_entry.title,
+        fn=functools.partial(_scenario_unit, _entry),
+        grid=tuple(_entry.grid(False)),
+        smoke_grid=tuple(_entry.grid(True)),
+        seed=_entry.seed,
+        schema=ResultSchema(version=1, fields=_entry.arm_fields + ("scorecard",)),
+        summarize=functools.partial(_scenario_summary, _entry),
+        sources=_entry.sources,
+    ))

@@ -91,9 +91,6 @@ class Experiment:
     #: Dotted modules whose transitive import closure fingerprints this
     #: experiment's code; defaults to the unit callable's module.
     sources: Tuple[str, ...] = ()
-    #: Optional family tag (e.g. ``"catalog"`` for the scenario
-    #: catalog); ``names(group=...)``/``select(group=...)`` filter on it.
-    group: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -147,7 +144,6 @@ class ExperimentRegistry:
         smoke_grid: Optional[Sequence[Mapping[str, Any]]] = None,
         summarize: Optional[SummarizeFn] = None,
         sources: Sequence[str] = (),
-        group: str = "",
     ) -> Callable[[UnitFn], UnitFn]:
         """Decorator form: register ``fn`` as ``name``'s unit callable."""
 
@@ -163,7 +159,6 @@ class ExperimentRegistry:
                             else tuple(dict(p) for p in smoke_grid)),
                 summarize=summarize,
                 sources=tuple(sources),
-                group=group,
             ))
             return fn
 
@@ -178,22 +173,15 @@ class ExperimentRegistry:
                 f"unknown experiment {name!r}; registered: {known}"
             ) from None
 
-    def names(self, group: Optional[str] = None) -> List[str]:
-        if group is None:
-            return sorted(self._experiments)
-        return sorted(
-            name for name, exp in self._experiments.items()
-            if exp.group == group
-        )
+    def names(self) -> List[str]:
+        return sorted(self._experiments)
 
-    def select(
-        self, names: Sequence[str] = (), group: Optional[str] = None
-    ) -> List[Experiment]:
-        """Experiments by name (all of them, name-sorted, when empty);
-        ``group`` restricts the empty-names case to one family."""
+    def select(self, names: Sequence[str] = ()) -> List[Experiment]:
+        """Experiments by name, each once in first-seen order (all of
+        them, name-sorted, when ``names`` is empty)."""
         if not names:
-            return [self._experiments[name] for name in self.names(group)]
-        return [self.get(name) for name in names]
+            return [self._experiments[name] for name in self.names()]
+        return [self.get(name) for name in dict.fromkeys(names)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._experiments

@@ -55,6 +55,17 @@ class TestRunSubcommand:
         out = capsys.readouterr().out
         assert out == (workdir / "manifest.json").read_text()
 
+    def test_repeated_name_runs_once(self, workdir, capsys):
+        """A name given twice is one experiment, run once."""
+        assert main(["run", "--no-cache", "--only", EXPERIMENT,
+                     "--out", "once.json"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--no-cache", "--only", EXPERIMENT,
+                     "--only", EXPERIMENT, "--out", "twice.json"]) == 0
+        assert "experiments 1, units 1," in capsys.readouterr().out
+        assert ((workdir / "twice.json").read_bytes()
+                == (workdir / "once.json").read_bytes())
+
     def test_unknown_experiment_is_rc2(self, workdir, capsys):
         assert main(["run", "no-such-experiment"]) == 2
         err = capsys.readouterr().err
@@ -86,8 +97,6 @@ class TestReportSubcommand:
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
-        ["platform", "--day-seconds", "0"],
-        ["ladder", "--horizon-seconds", "-5"],
         ["timeline", "--months", "0"],
         ["timeline", "--horizon", "0"],
         ["live", "--duration", "-1"],
@@ -97,13 +106,9 @@ class TestBadInput:
         ["gaming", "--fps", "nan"],
         ["table2", "--gpix", "0"],
         ["run", "--jobs", "0"],
-        ["ladder", "--hang-rate", "-1"],
-        ["ladder", "--corruption-rate", "-0.5"],
-        ["platform", "--failure-rate", "2"],
         ["report", "--timeline", "-1"],
         ["bdrate", "--proxy-height", "5"],
         ["lint", "--root", "/nonexistent"],
-        ["platform", "--ledger", "/nonexistent/dir/x.json"],
         ["run", "--out", "/nonexistent/dir/m.json"],
         ["perf", "--out", "/nonexistent/dir/p.json"],
     ], ids=lambda argv: argv[0] + argv[1])
@@ -149,11 +154,3 @@ class TestBadInput:
         assert "Traceback" not in err
         assert err.startswith("report: bad trace: bad.jsonl:3: ")
         assert problem in err
-
-    def test_ladder_outage_longer_than_short_horizon_is_rc2(self, capsys):
-        """Valid flags, impossible config: the outage stagger overruns a
-        10 s horizon's outage window.  A usage error, not a traceback."""
-        assert main(["ladder", "--horizon-seconds", "10"]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("ladder: ") and "stagger" in err

@@ -1,7 +1,5 @@
 """Tests for the job state machine, class queues, and the durable ledger."""
 
-import json
-
 import pytest
 
 from repro.control.jobs import (
@@ -184,17 +182,6 @@ class TestLedger:
         assert ledger.records[0].from_state is None
         assert ledger.records[-1].reason == "overload:arrival"
         assert ledger.records[-1].to_state is JobState.SHED
-
-    def test_write_jsonl_round_trips(self, tmp_path):
-        ledger = JobLedger()
-        job = make_job()
-        ledger.register(job)
-        ledger.transition(job, JobState.ADMITTED, 1.0, "arrival")
-        path = tmp_path / "ledger.jsonl"
-        ledger.write_jsonl(str(path))
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[1]["to"] == "admitted" and lines[1]["from"] == "queued"
 
     def test_dead_letters_capture_history(self):
         letters = DeadLetterLedger()

@@ -1,6 +1,6 @@
 """The live-ladder experiment as registered in the default registry.
 
-Locks the contract the CI ladder-smoke job relies on: the experiment
+Locks the contract the CI scenario-smoke job relies on: the experiment
 exists with both arms (healthy and regional-outage), its smoke manifest
 is byte-identical at any ``--jobs`` (the driver-level determinism
 guarantee), and every run's scorecard carries the exact key set from

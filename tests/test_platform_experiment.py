@@ -1,9 +1,9 @@
 """The platform-day experiment as registered in the default registry.
 
-Locks the contract the CI smoke job relies on: the experiment exists
-with both arms, its smoke manifest is byte-identical at any ``--jobs``
-(the driver-level determinism guarantee), and every run's scorecard
-carries the exact key set from :func:`scorecard_keys`.
+Locks the contract the CI scenario-smoke job relies on: the experiment
+exists with both arms, its smoke manifest is byte-identical at any
+``--jobs`` (the runner's determinism guarantee), and every run's
+scorecard carries the exact key set from :func:`scorecard_keys`.
 """
 
 from __future__ import annotations

@@ -149,6 +149,13 @@ class TestRegistry:
         assert registry.names() == ["alpha", "zeta"]
         assert [e.name for e in registry.select()] == ["alpha", "zeta"]
 
+    def test_select_takes_each_name_once_in_first_seen_order(self):
+        registry = ExperimentRegistry()
+        a = registry.add(make_experiment(name="a"))
+        b = registry.add(make_experiment(name="b"))
+        assert registry.select(["a", "a"]) == [a]
+        assert registry.select(["b", "a", "b"]) == [b, a]
+
     def test_decorator_registers_and_returns_fn(self):
         registry = ExperimentRegistry()
 
