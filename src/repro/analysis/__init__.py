@@ -61,7 +61,6 @@ from repro.analysis.core import (
     Rule,
     analyze_source,
     default_rules,
-    imported_modules,
     iter_python_files,
     register,
     run_lint,
@@ -101,7 +100,6 @@ __all__ = [
     "default_project_rules",
     "default_rules",
     "graph_document",
-    "imported_modules",
     "iter_python_files",
     "load_project",
     "register",

@@ -50,7 +50,6 @@ __all__ = [
     "analyze_source",
     "default_rules",
     "dotted_name",
-    "imported_modules",
     "iter_python_files",
     "register",
     "run_lint",
@@ -195,42 +194,6 @@ def _import_table(tree: ast.Module, module_name: str) -> Dict[str, str]:
                 local = alias.asname or alias.name
                 table[local] = f"{base}.{alias.name}" if base else alias.name
     return table
-
-
-def imported_modules(
-    tree: ast.Module, module_name: str, is_package: bool = False
-) -> Set[str]:
-    """Full dotted names of every module ``tree`` imports (best effort).
-
-    This is the import-graph edge set the runner's content-addressed
-    result cache walks: unlike :func:`_import_table` (which maps *local
-    names* and therefore collapses ``import a.b.c`` to ``a``), this
-    keeps the complete dotted path.  ``from base import name`` records
-    both ``base`` and ``base.name`` because the AST cannot tell a
-    submodule from a symbol; callers filter candidates against files
-    that actually exist.  Relative imports resolve against
-    ``module_name`` (pass ``is_package=True`` for ``__init__`` modules,
-    whose package is the module itself rather than its parent).
-    """
-    parts = module_name.split(".") if module_name else []
-    package_parts = parts if is_package else parts[:-1]
-    out: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                prefix = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module else []))
-            if not base:
-                continue
-            out.add(base)
-            for alias in node.names:
-                if alias.name != "*":
-                    out.add(f"{base}.{alias.name}")
-    return out
 
 
 def dotted_name(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:

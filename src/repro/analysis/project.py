@@ -20,7 +20,10 @@ Import edges carry a ``kind``:
   genuinely deadlock the interpreter in a cycle.
 * ``lazy`` -- inside a function body; executes on first call.  A lazy
   edge cannot crash at import time but still couples the packages, so
-  the layering pass flags it unless a pragma sanctions it.
+  the layering pass flags it unless a pragma sanctions it.  A string
+  constant ``"<project module>:<attribute>"`` is a lazy edge too: it
+  names code that is imported when called (the scenario catalog's
+  entries are such strings, resolved by ``catalog.resolve``).
 * ``type_checking`` -- under ``if TYPE_CHECKING:``; erased at runtime
   and exempt from layering (this is how ``repro.obs`` stays a runtime
   leaf while still naming transcode types in annotations).
@@ -29,6 +32,7 @@ Import edges carry a ``kind``:
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Type
@@ -59,6 +63,9 @@ __all__ = [
 GRAPH_JSON_VERSION = 1
 
 _EDGE_KINDS = ("toplevel", "lazy", "type_checking")
+
+#: A ``"module:attribute"`` string naming code imported at call time.
+_MODULE_ATTRIBUTE = re.compile(r"([A-Za-z_][\w.]*):[A-Za-z_][\w.]*")
 
 
 @dataclass(frozen=True)
@@ -230,10 +237,26 @@ def _collect_edges(
                     )
                 )
 
+    def record_string(node: ast.Constant) -> None:
+        match = _MODULE_ATTRIBUTE.fullmatch(node.value)
+        dst = match.group(1) if match else None
+        if dst is not None and dst in modules and dst != info.name:
+            edges.append(
+                ImportEdge(
+                    src=info.name,
+                    dst=dst,
+                    path=info.path,
+                    line=node.lineno,
+                    kind="lazy",
+                )
+            )
+
     def visit(node: ast.AST, lazy: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.Import, ast.ImportFrom)):
                 record(child, "lazy" if lazy else "toplevel")
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                record_string(child)
             elif isinstance(child, ast.If) and _is_type_checking_test(child.test):
                 for sub in ast.walk(child):
                     if isinstance(sub, (ast.Import, ast.ImportFrom)):

@@ -610,8 +610,9 @@ class HygieneRule(Rule):
 
     A mutable default is shared across every call -- in a fleet model
     that means cross-run state leaking between supposedly independent
-    simulations.  A bare ``except:`` swallows ``Interrupt`` (the
-    watchdog's kill signal) and ``KeyboardInterrupt`` alike.
+    simulations.  A bare ``except:`` swallows the engine's ``Interrupt``
+    (what ``Process.interrupt`` throws into a process) and
+    ``KeyboardInterrupt`` alike.
     """
 
     id = "hygiene"

@@ -1,18 +1,18 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-``repro-bench <command>`` (or ``python -m repro.cli <command>``) exposes
-the fast analytic experiments directly; the full benchmark suite stays in
-``pytest benchmarks/``.
+``repro-bench <command>`` (or ``python -m repro.cli <command>``) runs
+the registered experiments through ``run`` (``run --only NAME`` prints
+one experiment's table: Table 1, Table 2, Figure 7, the tuning timeline
+and the scenario catalog) and the analytic checks no experiment
+produces yet through their own commands; the full benchmark suite stays
+in ``pytest benchmarks/``.
 
 Commands:
-    table1      Table 1 throughput + perf/TCO rows
-    table2      Table 2 host-resource rows
     balance     Appendix A network & DRAM sizing
-    bdrate      BD-rate sweep on a title subset (real encodes; slow-ish)
-    timeline    Figure 9a/9c deployment-timeline replay
     live        Section 4.5 live-latency comparison
     gaming      Section 4.5 Stadia frame-budget check
     report      render a fleet report from a JSONL trace dump
+    perf        hot-path perf harness (fast vs reference paths)
     run         sharded deterministic experiment runner (repro.runner)
     lint        simulation-safety static analyzer (repro.analysis)
 
@@ -30,8 +30,8 @@ from typing import Any, Callable, List, Optional
 
 
 # argparse ``type=`` checks: bad input is a usage error (rc 2) at parse
-# time, not a traceback from inside a run.  The title and resolution
-# tables import numpy, so they load only when their argument is parsed.
+# time, not a traceback from inside a run.  The resolution table imports
+# numpy, so it loads only when its argument is parsed.
 def _checked(
     convert: Callable[[str], Any], accept: Callable[[Any], bool], expected: str
 ) -> Callable[[str], Any]:
@@ -56,15 +56,6 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
 _count = _checked(int, lambda value: 0 <= value < math.inf, "an int >= 0")
 
 
-def _proxy_height(text: str) -> int:
-    from repro.video.content import MIN_PROXY_HEIGHT
-
-    return _checked(
-        int, lambda value: MIN_PROXY_HEIGHT <= value < math.inf,
-        f"an int >= {MIN_PROXY_HEIGHT}",
-    )(text)
-
-
 def _directory(text: str) -> str:
     if not os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"no such directory: {text!r}")
@@ -82,17 +73,6 @@ def _output_file(text: str) -> str:
     return text
 
 
-def _vbench_titles(text: str) -> str:
-    from repro.video.vbench import vbench_video
-
-    for name in text.split(","):
-        try:
-            vbench_video(name)
-        except KeyError as exc:
-            raise argparse.ArgumentTypeError(exc.args[0]) from None
-    return text
-
-
 def _resolution_name(text: str) -> str:
     from repro.video.frame import resolution
 
@@ -101,53 +81,6 @@ def _resolution_name(text: str) -> str:
     except KeyError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
     return text
-
-
-def _cmd_table1(args: argparse.Namespace) -> None:
-    from repro.baselines import GpuSystem, SkylakeSystem
-    from repro.metrics import format_table
-    from repro.tco import SKYLAKE_COST, T4_SYSTEM_COST, VCU_SYSTEM_8, VCU_SYSTEM_20, perf_per_tco
-    from repro.vcu.spec import DEFAULT_VCU_SPEC
-    from repro.vcu.throughput import vbench_sot_system_throughput
-
-    cpu, gpu = SkylakeSystem(), GpuSystem()
-    rows = []
-    for name, cost, get in (
-        ("Skylake", SKYLAKE_COST, lambda c: cpu.machine_throughput(c)),
-        ("4xNvidia T4", T4_SYSTEM_COST,
-         lambda c: gpu.machine_throughput(c) if gpu.supports(c) else None),
-        ("8xVCU", VCU_SYSTEM_8,
-         lambda c: vbench_sot_system_throughput(DEFAULT_VCU_SPEC, c, 8)),
-        ("20xVCU", VCU_SYSTEM_20,
-         lambda c: vbench_sot_system_throughput(DEFAULT_VCU_SPEC, c, 20)),
-    ):
-        row = [name]
-        for codec in ("h264", "vp9"):
-            throughput = get(codec)
-            if throughput is None:
-                row += ["-", "-"]
-            else:
-                base = cpu.machine_throughput(codec)
-                row += [round(throughput), round(perf_per_tco(throughput, cost, base), 1)]
-        rows.append(row)
-    print(format_table(
-        ["System", "H.264 Mpix/s", "H.264 perf/TCO", "VP9 Mpix/s", "VP9 perf/TCO"],
-        rows, title="Table 1 (offline two-pass SOT)",
-    ))
-
-
-def _cmd_table2(args: argparse.Namespace) -> None:
-    from repro.balance import host_resource_table
-    from repro.metrics import format_table
-
-    rows = [
-        [r.use, round(r.logical_cores, 1), round(r.dram_bandwidth_gbps)]
-        for r in host_resource_table(args.gpix)
-    ]
-    print(format_table(
-        ["Use", "Logical cores", "DRAM Gbps"], rows,
-        title=f"Table 2 at {args.gpix:g} Gpixel/s",
-    ))
 
 
 def _cmd_balance(args: argparse.Namespace) -> None:
@@ -173,41 +106,6 @@ def _cmd_balance(args: argparse.Namespace) -> None:
         print(f"  {mode.value}: needs {req.required_gib:.0f} GiB, "
               f"8 GiB/VCU provides {req.provided_gib_8g:.0f} GiB "
               f"(fits: {req.fits_8gib}; 4 GiB would fit: {req.fits_4gib})")
-
-
-def _cmd_bdrate(args: argparse.Namespace) -> None:
-    from repro.harness.rd import suite_bd_rates, suite_rd_curves
-    from repro.metrics import format_table
-    from repro.video.vbench import vbench_video
-
-    titles = [vbench_video(name) for name in args.titles.split(",")]
-    curves = suite_rd_curves(
-        titles=titles, frame_count=args.frames, proxy_height=args.proxy_height
-    )
-    summary = suite_bd_rates(curves)
-    print(format_table(
-        ["Comparison", "BD-rate %", "Paper"],
-        [
-            ["VCU-VP9 vs libx264", round(summary.vcu_vp9_vs_libx264, 1), "~-30"],
-            ["VCU-H264 vs libx264", round(summary.vcu_h264_vs_libx264, 1), "~+11.5"],
-            ["VCU-VP9 vs libvpx", round(summary.vcu_vp9_vs_libvpx, 1), "~+18"],
-        ],
-        title=f"BD-rates on: {args.titles}",
-    ))
-
-
-def _cmd_timeline(args: argparse.Namespace) -> None:
-    from repro.cluster.timeline import run_timeline
-    from repro.metrics import format_table
-
-    results = run_timeline(args.months, seed=args.seed, horizon_seconds=args.horizon)
-    base = results[0].throughput_mpix_s or 1.0
-    print(format_table(
-        ["Month", "Normalized throughput", "Decoder util", "VCU workers"],
-        [[r.month, round(r.throughput_mpix_s / base, 2),
-          round(r.decoder_utilization, 2), r.vcu_workers] for r in results],
-        title="Figure 9a/9c deployment timeline",
-    ))
 
 
 def _cmd_live(args: argparse.Namespace) -> None:
@@ -261,6 +159,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import (
+        DEFAULT_MANIFEST_NAME,
         ResultCache,
         build_manifest,
         manifest_text,
@@ -290,13 +189,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run: {exc.args[0]}", file=sys.stderr)
         return 2
     manifest = build_manifest(result.runs)
-    write_manifest(args.out, manifest)
+    out = args.out or DEFAULT_MANIFEST_NAME
+    write_manifest(out, manifest)
     if args.json:
         print(manifest_text(manifest), end="")
     else:
         print(render_markdown(manifest))
         print(render_stats(result.stats))
-    print(f"wrote {args.out}", file=sys.stderr)
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
@@ -408,29 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="Table 1 throughput & perf/TCO").set_defaults(
-        func=_cmd_table1
-    )
-
-    table2 = sub.add_parser("table2", help="Table 2 host resources")
-    table2.add_argument("--gpix", type=_positive(float), default=153.0)
-    table2.set_defaults(func=_cmd_table2)
-
     sub.add_parser("balance", help="Appendix A balance analysis").set_defaults(
         func=_cmd_balance
     )
-
-    bdrate = sub.add_parser("bdrate", help="BD-rate sweep (real encodes)")
-    bdrate.add_argument("--titles", type=_vbench_titles, default="desktop,house,holi")
-    bdrate.add_argument("--frames", type=_positive(int), default=6)
-    bdrate.add_argument("--proxy-height", type=_proxy_height, default=54)
-    bdrate.set_defaults(func=_cmd_bdrate)
-
-    timeline = sub.add_parser("timeline", help="Figure 9 deployment replay")
-    timeline.add_argument("--months", type=_positive(int), default=12)
-    timeline.add_argument("--seed", type=int, default=5)
-    timeline.add_argument("--horizon", type=_positive(float), default=60.0)
-    timeline.set_defaults(func=_cmd_timeline)
 
     live = sub.add_parser("live", help="live-latency comparison")
     live.add_argument("--duration", type=_positive(float), default=120.0)
@@ -477,8 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute every unit, bypassing the cache")
     run.add_argument("--smoke", action="store_true",
                      help="reduced grids for a quick CI signal")
-    run.add_argument("--out", type=_output_file, default="BENCH_PR10.json",
-                     help="where to write the manifest")
+    # The default is the runner's DEFAULT_MANIFEST_NAME, read when the
+    # command runs: importing the runner here would load numpy for
+    # every subcommand.
+    run.add_argument("--out", type=_output_file, default=None,
+                     help="where to write the manifest (default: "
+                          "repro.runner.DEFAULT_MANIFEST_NAME)")
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")
     run.set_defaults(func=_cmd_run)

@@ -158,24 +158,6 @@ def run_month(
     )
 
 
-def run_timeline(
-    months: int = 12,
-    seed: SeedLike = 0,
-    base_vcu_workers: int = 6,
-    horizon_seconds: float = 120.0,
-) -> List[MonthResult]:
-    """Run the whole timeline with a fixed per-month workload seed."""
-    return [
-        run_month(
-            config,
-            base_vcu_workers=base_vcu_workers,
-            horizon_seconds=horizon_seconds,
-            seed=seed,
-        )
-        for config in default_timeline(months)
-    ]
-
-
 def live_adoption_curve(months: int = 12, saturation: float = 4.0) -> List[float]:
     """Figure 9b's live-transcoding ramp: normalized throughput per month.
 

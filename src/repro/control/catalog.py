@@ -5,15 +5,17 @@ live segment streaming, canary firmware rollouts, correlated outages
 under capped repair, sixteen months of post-launch tuning, and
 demand-mix disturbances -- lives here as one declarative catalog.  Each
 :class:`CatalogEntry` is the only declaration of its experiment: title,
-seed, grids, the scenario's config class and run function, source
-modules and summary columns.  :mod:`repro.runner.experiments` registers
-every entry from this table in one loop, and :func:`scorecard_keys`
-reads an entry's static key set for the smoke-gate diffs.
+seed, grids, the scenario's config class and run function, and summary
+columns.  :mod:`repro.runner.experiments` registers every entry from
+this table in one loop, and :func:`scorecard_keys` reads an entry's
+static key set for the smoke-gate diffs.
 
 This module is deliberately import-light (the registry contract: a
 cache-hot ``repro-bench run`` never touches the cluster simulator).
 Entries name the scenario code as ``"module:attribute"`` strings that
-:func:`resolve` imports at call time.
+:func:`resolve` imports at call time.  The project import graph reads
+each such string as a lazy edge to its module, which is how the result
+cache's fingerprints and the layering pass see the scenario code.
 """
 
 from __future__ import annotations
@@ -280,8 +282,6 @@ class CatalogEntry:
     config: str
     #: ``"module:function"`` returning the static, sorted scorecard keys.
     keys: str
-    #: Dotted modules fingerprinting the experiment's code for the cache.
-    sources: Tuple[str, ...]
     #: Summary columns in report order: (column, scorecard key).  Rows
     #: lead with the arm fields.
     columns: Tuple[Tuple[str, str], ...]
@@ -300,7 +300,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.scenario:run_global_platform_day",
         config="repro.control.scenario:ScenarioConfig",
         keys="repro.control.scenario:scorecard_keys",
-        sources=("repro.control.scenario",),
         columns=(
             ("submitted", "jobs.submitted"),
             ("done", "jobs.done"),
@@ -322,7 +321,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.live_ladder:run_live_ladder",
         config="repro.control.live_ladder:LiveLadderConfig",
         keys="repro.control.live_ladder:scorecard_keys",
-        sources=("repro.control.live_ladder",),
         columns=(
             ("streams", "streams.completed"),
             ("segments", "segments.manifested"),
@@ -349,7 +347,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.canary:run_canary_rollout",
         config="repro.control.canary:CanaryConfig",
         keys="repro.control.canary:scorecard_keys",
-        sources=("repro.control.canary",),
         columns=(
             ("stage", "rollout.stage"),
             ("regression_detected", "rollout.regression_detected"),
@@ -370,7 +367,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.chaos:run_chaos_campaign",
         config="repro.control.chaos:ChaosCampaignConfig",
         keys="repro.control.chaos:scorecard_keys",
-        sources=("repro.control.chaos",),
         columns=(
             ("jobs_completed", "jobs.completed"),
             ("hangs", "cluster.hangs"),
@@ -390,7 +386,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.catalog:run_tuning_month",
         config="",
         keys="repro.control.catalog:timeline_scorecard_keys",
-        sources=("repro.control.catalog",),
         columns=(
             ("throughput_mpix_s", "throughput_mpix_s"),
             ("vcu_workers", "vcu_workers"),
@@ -410,7 +405,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         run="repro.control.surge:run_surge_mix",
         config="repro.control.surge:SurgeMixConfig",
         keys="repro.control.surge:scorecard_keys",
-        sources=("repro.control.surge",),
         columns=(
             ("submitted", "jobs.submitted"),
             ("done", "jobs.done"),

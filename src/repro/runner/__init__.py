@@ -11,11 +11,12 @@ sweep:
   the seed-derivation rule ``split_rng(seed, f"{name}/unit{index}")``,
   guaranteeing byte-identical results for ``--jobs 1`` vs ``--jobs N``;
 * :mod:`repro.runner.cache` -- a content-addressed on-disk result cache
-  keyed by the experiment spec plus the SHA-256 of every source file the
-  experiment transitively imports (import graph via
-  :func:`repro.analysis.imported_modules`);
-* :mod:`repro.runner.manifest` -- the canonical ``BENCH_PR5.json``
-  manifest and EXPERIMENTS.md-style markdown report;
+  keyed by the experiment spec plus the SHA-256 of every source file in
+  the import closure of the experiment's unit and summary code (walked
+  over the project import graph, :func:`repro.analysis.load_project`);
+* :mod:`repro.runner.manifest` -- the canonical ``BENCH_PR10.json``
+  manifest (:data:`DEFAULT_MANIFEST_NAME`) and EXPERIMENTS.md-style
+  markdown report;
 * :mod:`repro.runner.experiments` -- the default registry wrapping the
   ``benchmarks/`` logic (Table 1, Table 2, Figure 7) and registering
   every :mod:`repro.control.catalog` scenario from its table entry.

@@ -5,28 +5,31 @@ A unit's cache key is a SHA-256 fingerprint over:
 * the runner schema version;
 * the experiment's identity (name, seed, result-schema version+fields);
 * the unit's parameters (canonical JSON);
-* the SHA-256 of every repo source file the experiment's code
-  (transitively) imports, discovered by walking the import graph with
-  :func:`repro.analysis.imported_modules`.
+* the SHA-256 of every project source file in the import closure of the
+  modules defining the experiment's unit callable and summary, walked
+  over the project import graph (:func:`repro.analysis.load_project`).
 
-Unchanged experiments are therefore instant cache hits, and *any* edit
-to a source file the experiment actually depends on -- and only those --
-precisely invalidates its entries.  Entries are content-addressed:
-``<cache_dir>/<experiment>/<fingerprint>.json``.  A corrupted or
-truncated entry is treated as a miss (and counted), never an error; the
-unit is simply recomputed and the entry rewritten.
+The walk follows every edge kind, so the closure also holds what is
+imported lazily, under ``TYPE_CHECKING``, or through a
+``"module:attribute"`` string resolved at call time.  It over-approximates:
+an edit to any file in an experiment's closure invalidates every entry
+whose closure holds the file, including entries that never execute the
+edited code.  Unchanged experiments are instant cache hits.  Entries are
+content-addressed: ``<cache_dir>/<experiment>/<fingerprint>.json``.  A
+corrupted or truncated entry is treated as a miss (and counted), never an
+error; the unit is simply recomputed and the entry rewritten.
 """
 
 from __future__ import annotations
 
-import ast
+import functools
 import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis import imported_modules
+from repro.analysis.project import ModuleInfo, ProjectContext
 from repro.runner.registry import RUNNER_SCHEMA_VERSION, Experiment, UnitContext
 
 #: Entry payload version, independent of the fingerprint inputs.
@@ -47,69 +50,56 @@ def repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def _module_candidates(root: Path, module: str) -> List[Path]:
-    """Files that could define ``module`` under ``root`` (src layout)."""
-    rel = Path(*module.split("."))
-    return [
-        root / "src" / rel.with_suffix(".py"),
-        root / "src" / rel / "__init__.py",
-        root / rel.with_suffix(".py"),
-        root / rel / "__init__.py",
-    ]
+def closure_roots(experiment: Experiment) -> Tuple[str, ...]:
+    """The modules an experiment's fingerprint is walked from.
 
-
-def resolve_module(root: Path, module: str) -> Optional[Path]:
-    """The repo file defining ``module``, or ``None`` for external deps."""
-    for candidate in _module_candidates(root, module):
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-def import_closure(root: Path, modules: Tuple[str, ...]) -> List[Path]:
-    """Transitive closure of repo files reachable from ``modules``.
-
-    External modules (numpy, stdlib) resolve to no repo file and are
-    ignored; ``from pkg import name`` contributes both ``pkg`` and
-    ``pkg.name`` as candidates and existence filtering keeps the real
-    ones.  Returns sorted paths so fingerprints are order-independent.
+    Those are the modules defining its unit callable and its summary.
+    A ``functools.partial`` is unwrapped: its own ``__module__`` is
+    ``functools``, not the module of the code it binds.
     """
-    root = Path(root)
-    seen: Dict[str, Optional[Path]] = {}
+    roots: List[str] = []
+    for fn in (experiment.fn, experiment.summarize):
+        while isinstance(fn, functools.partial):
+            fn = fn.func
+        if fn is not None:
+            roots.append(fn.__module__)
+    return tuple(dict.fromkeys(roots))
+
+
+def import_closure(
+    project: ProjectContext, modules: Iterable[str]
+) -> List[ModuleInfo]:
+    """Every project module reachable from ``modules``, in dotted-name order.
+
+    Every edge kind is followed, and a module's package ``__init__``s
+    count because importing the module runs them.  Modules outside the
+    project's ``src/`` tree (numpy, the stdlib, test modules) contribute
+    nothing.
+    """
+    imports: Dict[str, List[str]] = {}
+    for edge in project.edges:
+        imports.setdefault(edge.src, []).append(edge.dst)
+    seen: Set[str] = set()
     queue = list(modules)
-    files: Set[Path] = set()
     while queue:
         module = queue.pop()
-        if module in seen:
+        if module in seen or module not in project.modules:
             continue
-        path = resolve_module(root, module)
-        seen[module] = path
-        if path is None:
-            continue
-        files.add(path)
-        # A module's package __init__ runs on import, so it is a real
-        # dependency even when never named explicitly.
+        seen.add(module)
         parts = module.split(".")
-        for depth in range(1, len(parts)):
-            queue.append(".".join(parts[:depth]))
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except (SyntaxError, UnicodeDecodeError, OSError):
-            continue
-        queue.extend(sorted(imported_modules(
-            tree, module, is_package=path.name == "__init__.py"
-        )))
-    return sorted(files)
+        queue.extend(".".join(parts[:depth]) for depth in range(1, len(parts)))
+        queue.extend(imports.get(module, ()))
+    return [project.modules[name] for name in sorted(seen)]
 
 
-def source_hashes(root: Path, modules: Tuple[str, ...]) -> Dict[str, str]:
+def source_hashes(
+    project: ProjectContext, modules: Iterable[str]
+) -> Dict[str, str]:
     """``{repo-relative posix path: sha256}`` over the import closure."""
-    root = Path(root)
-    hashes: Dict[str, str] = {}
-    for path in import_closure(root, modules):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        hashes[path.relative_to(root).as_posix()] = digest
-    return hashes
+    return {
+        info.path: hashlib.sha256(info.source.encode("utf-8")).hexdigest()
+        for info in import_closure(project, modules)
+    }
 
 
 # --------------------------------------------------------------------- #

@@ -2,9 +2,9 @@
 
 Execution model:
 
-1. Expand every selected experiment's grid into ordered units and
-   compute each unit's content-addressed fingerprint (cheap hashing, in
-   the parent).
+1. Load the project import graph once, expand every selected
+   experiment's grid into ordered units and compute each unit's
+   content-addressed fingerprint (cheap hashing, in the parent).
 2. Resolve cache hits; only misses become work.
 3. Deal missed units round-robin into ``jobs`` shards and run the
    shards in worker processes (``--jobs 1`` runs inline -- no pool).
@@ -30,8 +30,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from pathlib import Path
 
 from repro import obs
+from repro.analysis.project import load_project
 from repro.runner.cache import (
     ResultCache,
+    closure_roots,
     repo_root,
     source_hashes,
     unit_fingerprint,
@@ -145,8 +147,8 @@ def run_experiments(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     t_start = time.perf_counter()  # lint: allow=determinism -- run wall-clock metric
-    fingerprint_root = Path(root) if root is not None else repo_root()
     experiments = registry.select(names)
+    project, _ = load_project(Path(root) if root is not None else repo_root())
     runs: List[ExperimentRun] = []
     stats = RunStats(experiments=len(experiments), jobs=jobs)
 
@@ -154,7 +156,7 @@ def run_experiments(
     slots: Dict[Tuple[str, int], ExperimentRun] = {}
     for experiment in experiments:
         units = experiment.units(smoke=smoke)
-        hashes = source_hashes(fingerprint_root, experiment.sources)
+        hashes = source_hashes(project, closure_roots(experiment))
         run = ExperimentRun(
             experiment=experiment,
             units=units,

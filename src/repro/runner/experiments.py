@@ -297,5 +297,4 @@ for _entry in catalog.CATALOG:
         seed=_entry.seed,
         schema=ResultSchema(version=1, fields=_entry.arm_fields + ("scorecard",)),
         summarize=functools.partial(_scenario_summary, _entry),
-        sources=_entry.sources,
     ))

@@ -1,13 +1,13 @@
 """Manifest and report layer for runner results.
 
 The manifest is the machine-readable record of one full experiment
-sweep (``BENCH_PR5.json``): per experiment, the declared grid, each
-unit's content-address fingerprint, its result, and the summary rows
-the markdown report renders.  It deliberately contains **no wall-clock,
-job count, or cache accounting** -- those live in
-:class:`~repro.runner.executor.RunStats` -- so two runs of unchanged
-code produce byte-identical manifests regardless of ``--jobs`` or cache
-temperature.  JSON is canonical (sorted keys, fixed separators).
+sweep (:data:`DEFAULT_MANIFEST_NAME`, ``BENCH_PR10.json``): per
+experiment, the declared grid, each unit's content-address fingerprint,
+its result, and the summary rows the markdown report renders.  It
+deliberately contains **no wall-clock, job count, or cache accounting**
+-- those live in :class:`~repro.runner.executor.RunStats` -- so two runs
+of unchanged code produce byte-identical manifests regardless of
+``--jobs`` or cache temperature.  JSON is canonical (sorted keys, fixed separators).
 
 The markdown rendering matches EXPERIMENTS.md's paper-vs-measured table
 format: each experiment's ``summarize`` hook emits ordered row dicts
@@ -21,8 +21,9 @@ from typing import Any, Dict, List, Sequence
 from repro.runner.cache import canonical_json
 from repro.runner.registry import RUNNER_SCHEMA_VERSION
 
-#: Default manifest filename for this PR's bench artifact.
-DEFAULT_MANIFEST_NAME = "BENCH_PR5.json"
+#: The committed manifest's filename, and ``repro-bench run``'s default
+#: ``--out``.
+DEFAULT_MANIFEST_NAME = "BENCH_PR10.json"
 
 
 def dump_json(path: str, payload: Any) -> None:

@@ -88,17 +88,12 @@ class Experiment:
     #: Cross-unit reduction rendered as the manifest's markdown table
     #: (paper-vs-measured rows); defaults to the raw unit results.
     summarize: Optional[SummarizeFn] = None
-    #: Dotted modules whose transitive import closure fingerprints this
-    #: experiment's code; defaults to the unit callable's module.
-    sources: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("experiment needs a name")
         if not self.grid:
             raise ValueError(f"{self.name}: parameter grid is empty")
-        if not self.sources:
-            object.__setattr__(self, "sources", (self.fn.__module__,))
 
     def units(self, smoke: bool = False) -> List[UnitContext]:
         """Expand the grid into ordered unit contexts."""
@@ -143,7 +138,6 @@ class ExperimentRegistry:
         schema: ResultSchema,
         smoke_grid: Optional[Sequence[Mapping[str, Any]]] = None,
         summarize: Optional[SummarizeFn] = None,
-        sources: Sequence[str] = (),
     ) -> Callable[[UnitFn], UnitFn]:
         """Decorator form: register ``fn`` as ``name``'s unit callable."""
 
@@ -158,7 +152,6 @@ class ExperimentRegistry:
                 smoke_grid=(None if smoke_grid is None
                             else tuple(dict(p) for p in smoke_grid)),
                 summarize=summarize,
-                sources=tuple(sources),
             ))
             return fn
 

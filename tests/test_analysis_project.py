@@ -75,6 +75,31 @@ class TestImportGraph:
         by_kind = sorted(e.kind for e in project.edges)
         assert by_kind == ["lazy", "toplevel", "type_checking"]
 
+    def test_module_attribute_string_is_a_lazy_edge(self):
+        project = ctx({
+            "src/repro/x.py": "def attr(): pass\n",
+            "src/repro/y.py": """\
+                ENTRIES = (
+                    "repro.x:attr",
+                    "repro.y:own",
+                    "repro.nowhere:attr",
+                    "repro.x.inner:attr",
+                    "numpy:array",
+                    "repro.x",
+                    "see repro.x:attr",
+                )
+
+
+                def own():
+                    return "repro.x:attr"
+                """,
+        })
+        edges = [(e.src, e.dst, e.kind, e.line) for e in project.edges]
+        assert edges == [
+            ("repro.y", "repro.x", "lazy", 2),
+            ("repro.y", "repro.x", "lazy", 13),
+        ]
+
     def test_relative_import_resolves_to_sibling(self):
         project = ctx({
             "src/repro/pkg/__init__.py": "",

@@ -2,8 +2,9 @@
 
 Locks everything the ``scenario-smoke`` CI job relies on: all six
 catalog experiments are registered from their
-:mod:`repro.control.catalog` entries (title, seed, schema, grids and
-sources), their scorecard key sets match per-scenario golden lists
+:mod:`repro.control.catalog` entries (title, seed, schema and grids, with
+every module an entry names in the experiment's fingerprint sources),
+their scorecard key sets match per-scenario golden lists
 (drift in a key set is a deliberate, reviewed change -- update the
 golden *and* bump the scenario's ``SCORECARD_VERSION``), and the smoke
 manifest is byte-identical at ``--jobs 1`` and ``--jobs 3``.
@@ -15,8 +16,10 @@ import functools
 
 import pytest
 
+from repro.analysis.project import load_project
 from repro.control import catalog
 from repro.runner import default_registry
+from repro.runner.cache import closure_roots, repo_root, source_hashes
 from repro.runner.executor import run_experiments
 from repro.runner.manifest import build_manifest, manifest_text
 
@@ -132,6 +135,7 @@ class TestRegistration:
 
     def test_seeds_and_sources_match_catalog_entries(self):
         registry = default_registry()
+        project, _ = load_project(repo_root())
         for entry in catalog.CATALOG:
             experiment = registry.get(entry.name)
             assert experiment.title == entry.title
@@ -140,7 +144,19 @@ class TestRegistration:
             assert experiment.schema.fields == entry.arm_fields + ("scorecard",)
             assert list(experiment.grid) == entry.grid(False)
             assert list(experiment.smoke_grid) == entry.grid(True)
-            assert experiment.sources == entry.sources
+            # The fingerprint's sources hold the code that builds the
+            # unit (registry, unit function, catalog) and every module
+            # the entry's "module:attribute" strings name.
+            sources = source_hashes(project, closure_roots(experiment))
+            named = {
+                "src/" + path.partition(":")[0].replace(".", "/") + ".py"
+                for path in (entry.run, entry.config, entry.keys) if path
+            }
+            assert named | {
+                "src/repro/runner/experiments.py",
+                "src/repro/runner/registry.py",
+                "src/repro/control/catalog.py",
+            } <= set(sources), entry.name
 
     def test_grids_come_from_the_catalog(self):
         registry = default_registry()

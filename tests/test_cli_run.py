@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.runner import DEFAULT_MANIFEST_NAME
 
 # table2 is the cheapest registered experiment (one analytic unit), so
 # the CLI round-trips stay fast enough for tier-1.
@@ -70,7 +71,13 @@ class TestRunSubcommand:
         assert main(["run", "no-such-experiment"]) == 2
         err = capsys.readouterr().err
         assert "unknown experiment" in err
-        assert not (workdir / "BENCH_PR5.json").exists()
+        assert not (workdir / DEFAULT_MANIFEST_NAME).exists()
+
+    def test_default_out_is_the_manifest_name(self, workdir, capsys):
+        assert main(["run", EXPERIMENT, "--no-cache"]) == 0
+        assert f"wrote {DEFAULT_MANIFEST_NAME}" in capsys.readouterr().err
+        manifest = json.loads((workdir / DEFAULT_MANIFEST_NAME).read_text())
+        assert list(manifest["experiments"]) == [EXPERIMENT]
 
 
 class TestPerfSubcommand:
@@ -97,17 +104,11 @@ class TestReportSubcommand:
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
-        ["timeline", "--months", "0"],
-        ["timeline", "--horizon", "0"],
         ["live", "--duration", "-1"],
-        ["bdrate", "--titles", "nope"],
-        ["bdrate", "--frames", "0"],
         ["gaming", "--resolution", "999p"],
         ["gaming", "--fps", "nan"],
-        ["table2", "--gpix", "0"],
         ["run", "--jobs", "0"],
         ["report", "--timeline", "-1"],
-        ["bdrate", "--proxy-height", "5"],
         ["lint", "--root", "/nonexistent"],
         ["run", "--out", "/nonexistent/dir/m.json"],
         ["perf", "--out", "/nonexistent/dir/p.json"],

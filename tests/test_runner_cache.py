@@ -9,17 +9,19 @@ recomputation, never a crash or a wrong answer.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from repro.analysis.project import load_project
 from repro.runner.cache import (
     CACHE_ENTRY_VERSION,
     ResultCache,
     canonical_json,
+    closure_roots,
     import_closure,
     repo_root,
-    resolve_module,
     source_hashes,
     unit_fingerprint,
 )
@@ -39,11 +41,25 @@ def fake_tree(root):
     return root
 
 
-def make_experiment(sources=("pkg.a",), seed=7, schema=SCHEMA, name="exp"):
+def closure_paths(root, modules):
+    project, _ = load_project(root)
+    return [info.path for info in import_closure(project, modules)]
+
+
+def hashes_of(root, modules=("pkg.a",)):
+    project, _ = load_project(root)
+    return source_hashes(project, modules)
+
+
+def make_experiment(seed=7, schema=SCHEMA, name="exp"):
     return Experiment(
         name=name, title="t", fn=lambda ctx: {"v": 0}, grid=({"q": 1},),
-        seed=seed, schema=schema, sources=tuple(sources),
+        seed=seed, schema=schema,
     )
+
+
+def unit_fn(ctx):
+    return {"v": 0}
 
 
 UNIT = UnitContext(experiment="exp", index=0, params={"q": 1}, seed=7)
@@ -61,32 +77,60 @@ class TestCanonicalJson:
 class TestImportClosure:
     def test_resolve_prefers_src_layout_and_handles_packages(self, tmp_path):
         fake_tree(tmp_path)
-        assert resolve_module(tmp_path, "pkg") == tmp_path / "src/pkg/__init__.py"
-        assert resolve_module(tmp_path, "pkg.a") == tmp_path / "src/pkg/a.py"
-        assert resolve_module(tmp_path, "numpy") is None
+        # A package resolves to its __init__, which imports pkg.a -> pkg.b.
+        assert closure_paths(tmp_path, ("pkg",)) == [
+            "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py",
+        ]
+        assert closure_paths(tmp_path, ("numpy",)) == []
 
     def test_closure_is_transitive_and_includes_package_init(self, tmp_path):
         fake_tree(tmp_path)
-        files = import_closure(tmp_path, ("pkg.a",))
-        names = [p.relative_to(tmp_path).as_posix() for p in files]
         # pkg.a imports pkg.b; importing pkg.a also runs pkg/__init__.
-        assert names == ["src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py"]
+        assert closure_paths(tmp_path, ("pkg.a",)) == [
+            "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py",
+        ]
 
     def test_external_imports_are_ignored(self, tmp_path):
         fake_tree(tmp_path)
-        files = import_closure(tmp_path, ("solo",))
-        assert [p.name for p in files] == ["solo.py"]
+        assert closure_paths(tmp_path, ("solo",)) == ["src/solo.py"]
+
+    def test_every_edge_kind_is_followed(self, tmp_path):
+        fake_tree(tmp_path)
+        (tmp_path / "src" / "table.py").write_text(
+            "from typing import TYPE_CHECKING\n\n"
+            "if TYPE_CHECKING:\n    import solo\n\n"
+            "ENTRY = 'pkg.b:helper'\n"
+        )
+        assert closure_paths(tmp_path, ("table",)) == [
+            "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py",
+            "src/solo.py", "src/table.py",
+        ]
+
+    def test_roots_are_unit_and_summary_modules(self):
+        plain = Experiment(name="e", title="t", fn=unit_fn, grid=({},),
+                           seed=0, schema=SCHEMA)
+        assert closure_roots(plain) == (unit_fn.__module__,)
+        # A partial's own __module__ is "functools"; the root is the
+        # module of the function it binds.
+        bound = Experiment(
+            name="e", title="t", fn=functools.partial(unit_fn), grid=({},),
+            seed=0, schema=SCHEMA,
+            summarize=functools.partial(json.dumps, indent=2),
+        )
+        assert closure_roots(bound) == (unit_fn.__module__, json.dumps.__module__)
 
     def test_repo_root_points_at_this_checkout(self):
         assert (repo_root() / "src" / "repro" / "runner").is_dir()
         # The real registry module resolves inside this repo.
-        assert resolve_module(repo_root(), "repro.runner.registry") is not None
+        assert "src/repro/runner/registry.py" in closure_paths(
+            repo_root(), ("repro.runner.registry",)
+        )
 
 
 class TestSourceHashes:
     def test_keys_are_repo_relative_posix_paths(self, tmp_path):
         fake_tree(tmp_path)
-        hashes = source_hashes(tmp_path, ("pkg.a",))
+        hashes = hashes_of(tmp_path)
         assert sorted(hashes) == [
             "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py",
         ]
@@ -94,9 +138,9 @@ class TestSourceHashes:
 
     def test_editing_a_file_moves_only_its_hash(self, tmp_path):
         fake_tree(tmp_path)
-        before = source_hashes(tmp_path, ("pkg.a",))
+        before = hashes_of(tmp_path)
         (tmp_path / "src/pkg/b.py").write_text("def helper():\n    return 99\n")
-        after = source_hashes(tmp_path, ("pkg.a",))
+        after = hashes_of(tmp_path)
         assert before["src/pkg/a.py"] == after["src/pkg/a.py"]
         assert before["src/pkg/b.py"] != after["src/pkg/b.py"]
 
@@ -104,13 +148,13 @@ class TestSourceHashes:
 class TestUnitFingerprint:
     def test_stable_across_calls(self, tmp_path):
         fake_tree(tmp_path)
-        hashes = source_hashes(tmp_path, ("pkg.a",))
+        hashes = hashes_of(tmp_path)
         exp = make_experiment()
         assert unit_fingerprint(exp, UNIT, hashes) == unit_fingerprint(exp, UNIT, hashes)
 
     def test_moves_with_every_input_it_claims(self, tmp_path):
         fake_tree(tmp_path)
-        hashes = source_hashes(tmp_path, ("pkg.a",))
+        hashes = hashes_of(tmp_path)
         exp = make_experiment()
         base = unit_fingerprint(exp, UNIT, hashes)
 
@@ -121,16 +165,15 @@ class TestUnitFingerprint:
         assert unit_fingerprint(exp, other_unit, hashes) != base
 
         (tmp_path / "src/pkg/b.py").write_text("def helper():\n    return 99\n")
-        edited = source_hashes(tmp_path, ("pkg.a",))
-        assert unit_fingerprint(exp, UNIT, edited) != base
+        assert unit_fingerprint(exp, UNIT, hashes_of(tmp_path)) != base
 
     def test_untouched_dependency_set_keeps_fingerprint(self, tmp_path):
         fake_tree(tmp_path)
         exp = make_experiment()
-        base = unit_fingerprint(exp, UNIT, source_hashes(tmp_path, ("pkg.a",)))
+        base = unit_fingerprint(exp, UNIT, hashes_of(tmp_path))
         # Editing a module outside the closure changes nothing.
         (tmp_path / "src/solo.py").write_text("VALUE = 3\n")
-        assert unit_fingerprint(exp, UNIT, source_hashes(tmp_path, ("pkg.a",))) == base
+        assert unit_fingerprint(exp, UNIT, hashes_of(tmp_path)) == base
 
 
 class TestResultCache:

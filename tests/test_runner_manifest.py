@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.runner.cache import repo_root
 from repro.runner.executor import ExperimentRun, RunStats
 from repro.runner.manifest import (
     DEFAULT_MANIFEST_NAME,
@@ -23,7 +24,7 @@ def make_run(summarize=None):
     experiment = Experiment(
         name="demo", title="Demo experiment", fn=lambda ctx: {"x": 0},
         grid=({"q": 1}, {"q": 2}), seed=5, schema=SCHEMA,
-        summarize=summarize, sources=("demo",),
+        summarize=summarize,
     )
     units = experiment.units()
     return ExperimentRun(
@@ -64,7 +65,10 @@ class TestManifest:
         assert json.loads(a.read_text()) == manifest
 
     def test_default_name_matches_this_pr(self):
-        assert DEFAULT_MANIFEST_NAME == "BENCH_PR5.json"
+        # The one manifest name: the committed manifest CI's full gate
+        # compares against, and what ``repro-bench run`` writes.
+        assert DEFAULT_MANIFEST_NAME == "BENCH_PR10.json"
+        assert (repo_root() / DEFAULT_MANIFEST_NAME).is_file()
 
 
 class TestMarkdown:

@@ -85,11 +85,6 @@ class TestExperiment:
         with pytest.raises(ValueError, match="grid is empty"):
             make_experiment(grid=())
 
-    def test_sources_default_to_fn_module(self):
-        assert make_experiment().sources == (unit_fn.__module__,)
-        explicit = make_experiment(sources=("repro.balance",))
-        assert explicit.sources == ("repro.balance",)
-
     def test_units_are_ordered_and_indexed(self):
         units = make_experiment().units()
         assert [u.index for u in units] == [0, 1, 2]
