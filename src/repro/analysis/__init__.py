@@ -49,63 +49,87 @@ The engine supports per-line and per-file pragma suppressions
 findings (``lint-baseline.json``), and text/JSON reporters, all surfaced
 through ``repro-bench lint``.  Everything here is numpy-free so the CLI
 subcommand loads in milliseconds, like ``repro-bench report``.
+
+Re-exports resolve lazily (PEP 562): the experiment runner imports
+:mod:`repro.analysis.project` for its import graph, and that must not
+load every lint rule.  The rule modules register themselves when a rule
+list is first read (:func:`~repro.analysis.core.default_rules`,
+:func:`~repro.analysis.project.default_project_rules`).
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.core import (
-    FileContext,
-    Finding,
-    LintResult,
-    Rule,
-    analyze_source,
-    default_rules,
-    iter_python_files,
-    register,
-    run_lint,
-)
-from repro.analysis.project import (
-    ImportEdge,
-    ModuleInfo,
-    ProjectContext,
-    ProjectRule,
-    default_project_rules,
-    graph_document,
-    load_project,
-    register_project,
-    render_dot,
-)
-from repro.analysis.reporters import render_json, render_text
+from typing import TYPE_CHECKING, List
 
-# Importing the rule modules populates the registries as a side effect.
-from repro.analysis import rules as _rules  # noqa: F401  (registration import)
-from repro.analysis import taint as _taint  # noqa: F401  (registration import)
-from repro.analysis import layering as _layering  # noqa: F401  (registration)
-from repro.analysis import races as _races  # noqa: F401  (registration import)
-from repro.analysis import machines as _machines  # noqa: F401  (registration)
+if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
+    from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
+    from repro.analysis.core import (
+        FileContext,
+        Finding,
+        LintResult,
+        Rule,
+        analyze_source,
+        default_rules,
+        iter_python_files,
+        register,
+        run_lint,
+    )
+    from repro.analysis.project import (
+        ImportEdge,
+        ModuleInfo,
+        ProjectContext,
+        ProjectRule,
+        default_project_rules,
+        graph_document,
+        load_project,
+        register_project,
+        render_dot,
+    )
+    from repro.analysis.reporters import render_json, render_text
 
-__all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
-    "FileContext",
-    "Finding",
-    "ImportEdge",
-    "LintResult",
-    "ModuleInfo",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "analyze_source",
-    "default_project_rules",
-    "default_rules",
-    "graph_document",
-    "iter_python_files",
-    "load_project",
-    "register",
-    "register_project",
-    "render_dot",
-    "render_json",
-    "render_text",
-    "run_lint",
-]
+# name -> defining submodule
+_EXPORTS = {
+    "Baseline": "baseline",
+    "DEFAULT_BASELINE_NAME": "baseline",
+    "FileContext": "core",
+    "Finding": "core",
+    "ImportEdge": "project",
+    "LintResult": "core",
+    "ModuleInfo": "project",
+    "ProjectContext": "project",
+    "ProjectRule": "project",
+    "Rule": "core",
+    "analyze_source": "core",
+    "default_project_rules": "project",
+    "default_rules": "core",
+    "graph_document": "project",
+    "iter_python_files": "core",
+    "load_project": "project",
+    "register": "core",
+    "register_project": "project",
+    "render_dot": "project",
+    "render_json": "reporters",
+    "render_text": "reporters",
+    "run_lint": "core",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.analysis' has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    module = importlib.import_module(f"repro.analysis.{module_name}")
+    value = getattr(module, name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

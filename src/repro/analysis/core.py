@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -94,7 +95,7 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.module_name = _module_name(path)
-        self.imports = _import_table(tree, self.module_name)
+        self.imports = _import_table(ast.walk(tree), self.module_name)
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -146,12 +147,24 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
     return rule_cls
 
 
+def _ensure_registered() -> None:
+    """Import the rule modules so their ``@register`` runs.
+
+    Local import, because each rule module imports this one at top
+    level; by the time anything reads the registry, this module is
+    fully initialised and the cycle is harmless.
+    """
+    from repro.analysis import rules, taint  # noqa: F401
+
+
 def default_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in registration order."""
+    _ensure_registered()
     return [cls() for cls in _REGISTRY.values()]
 
 
 def rule_ids() -> List[str]:
+    _ensure_registered()
     return list(_REGISTRY)
 
 
@@ -169,16 +182,18 @@ def _module_name(path: str) -> str:
     return ".".join(parts)
 
 
-def _import_table(tree: ast.Module, module_name: str) -> Dict[str, str]:
+def _import_table(nodes: Iterable[ast.AST], module_name: str) -> Dict[str, str]:
     """Map local names to the dotted module path they were imported from.
 
     ``import numpy as np`` -> ``{"np": "numpy"}``;
     ``from time import perf_counter`` -> ``{"perf_counter": "time.perf_counter"}``.
-    Relative imports are resolved against ``module_name``.
+    ``nodes`` are a module's nodes in ``ast.walk`` order (other nodes
+    than imports are skipped); a later import of a name wins.  Relative
+    imports are resolved against ``module_name``.
     """
     table: Dict[str, str] = {}
     package_parts = module_name.split(".")[:-1] if module_name else []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:

@@ -88,7 +88,11 @@ class ModuleInfo:
         self.source = source
         self.tree = tree
         self.is_package = Path(path).name == "__init__.py"
-        self.imports = _import_table(tree, name)
+        imports, sites = _scan_imports(tree)
+        self.imports = _import_table(imports, name)
+        #: Imports and string constants, each with the kind of edge it
+        #: makes, in the order :func:`_collect_edges` resolves them.
+        self.edge_sites = sites
         #: Top-level function defs by name.
         self.functions: Dict[str, ast.FunctionDef] = {}
         #: Top-level class defs by name.
@@ -165,6 +169,51 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     if isinstance(test, ast.Name):
         return test.id == "TYPE_CHECKING"
     return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+
+
+def _scan_imports(
+    tree: ast.Module,
+) -> Tuple[List[ast.stmt], List[Tuple[ast.AST, str]]]:
+    """One walk over ``tree`` for both import readers.
+
+    Returns the import statements in ``ast.walk``'s breadth-first order
+    (what :func:`~repro.analysis.core._import_table` reads) and the edge
+    sites -- import statements and string constants, each with the kind
+    of edge it makes -- in the order :func:`_collect_edges` lists them:
+    depth first, except that a ``TYPE_CHECKING`` block's imports follow
+    ``ast.walk`` within the block.
+    """
+    found: List[Tuple[int, ast.stmt]] = []  # (depth, import), depth first
+    sites: List[Tuple[ast.AST, str]] = []
+
+    def visit(
+        node: ast.AST, depth: int, kind: str,
+        block: Optional[List[Tuple[int, ast.stmt]]],
+    ) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((depth + 1, child))
+                if block is None:
+                    sites.append((child, kind))
+                else:
+                    block.append((depth + 1, child))
+            elif block is not None:
+                visit(child, depth + 1, kind, block)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                sites.append((child, "lazy"))
+            elif isinstance(child, ast.If) and _is_type_checking_test(child.test):
+                inner: List[Tuple[int, ast.stmt]] = []
+                visit(child, depth + 1, kind, inner)
+                inner.sort(key=lambda item: item[0])  # stable: walk order
+                sites.extend((imp, "type_checking") for _, imp in inner)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, depth + 1, "lazy", None)
+            else:
+                visit(child, depth + 1, kind, None)
+
+    visit(tree, 0, "toplevel", None)
+    found.sort(key=lambda item: item[0])  # stable: ast.walk's order
+    return [node for _, node in found], sites
 
 
 def _collect_edges(
@@ -251,22 +300,11 @@ def _collect_edges(
                 )
             )
 
-    def visit(node: ast.AST, lazy: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Import, ast.ImportFrom)):
-                record(child, "lazy" if lazy else "toplevel")
-            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                record_string(child)
-            elif isinstance(child, ast.If) and _is_type_checking_test(child.test):
-                for sub in ast.walk(child):
-                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        record(sub, "type_checking")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, True)
-            else:
-                visit(child, lazy)
-
-    visit(info.tree, False)
+    for node, kind in info.edge_sites:
+        if isinstance(node, ast.Constant):
+            record_string(node)
+        else:
+            record(node, kind)
     return edges
 
 
@@ -309,7 +347,7 @@ def _ensure_registered() -> None:
     level; by the time anything *calls* the registry accessors, this
     module is fully initialised and the cycle is harmless.
     """
-    from repro.analysis import layering, machines, races  # noqa: F401
+    from repro.analysis import layering, races, machines  # noqa: F401
 
 
 def default_project_rules() -> List[ProjectRule]:

@@ -189,14 +189,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run: {exc.args[0]}", file=sys.stderr)
         return 2
     manifest = build_manifest(result.runs)
-    out = args.out or DEFAULT_MANIFEST_NAME
-    write_manifest(out, manifest)
+    # Only a full run may stand in for the committed manifest: a subset
+    # or smoke run writes a file only where --out says.
+    full = not args.smoke and len(result.runs) == len(registry.names())
+    out = args.out or (DEFAULT_MANIFEST_NAME if full else None)
+    if out is not None:
+        write_manifest(out, manifest)
     if args.json:
         print(manifest_text(manifest), end="")
     else:
         print(render_markdown(manifest))
         print(render_stats(result.stats))
-    print(f"wrote {out}", file=sys.stderr)
+    if out is None:
+        print(
+            f"wrote no manifest: {DEFAULT_MANIFEST_NAME} holds only a full"
+            " run (every experiment, full grids); pass --out to keep this one",
+            file=sys.stderr,
+        )
+    else:
+        print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
@@ -362,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     # every subcommand.
     run.add_argument("--out", type=_output_file, default=None,
                      help="where to write the manifest (default: "
-                          "repro.runner.DEFAULT_MANIFEST_NAME)")
+                          "repro.runner.DEFAULT_MANIFEST_NAME for a full "
+                          "run; a subset or --smoke run writes no file)")
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")
     run.set_defaults(func=_cmd_run)

@@ -40,7 +40,7 @@ import numpy as np
 from repro import obs
 from repro.obs.latency import LadderMetrics
 from repro.cluster.health import HealthState
-from repro.cluster.metrics import ThroughputWindow, UtilizationTracker
+from repro.cluster.metrics import ThroughputWindow
 from repro.cluster.scheduler import BinPackingScheduler, SingleSlotScheduler
 from repro.cluster.telemetry import FleetTelemetry
 from repro.cluster.worker import CpuWorker, VcuWorker
@@ -136,15 +136,9 @@ class TranscodeCluster:
         fault_domain: Optional[FaultDomainPolicy] = FaultDomainPolicy(),
         affinity_placement: bool = False,
         affinity_size: int = 3,
-        telemetry_mode: str = "exact",
-        telemetry_sample_seconds: float = 5.0,
     ):
         if not 0.0 <= integrity_check_rate <= 1.0:
             raise ValueError("integrity_check_rate must be in [0, 1]")
-        if telemetry_mode not in ("exact", "sampled"):
-            raise ValueError(
-                f"telemetry_mode must be 'exact' or 'sampled', got {telemetry_mode!r}"
-            )
         self.sim = sim
         self.vcu_workers = list(vcu_workers)
         self.cpu_workers = list(cpu_workers)
@@ -179,7 +173,6 @@ class TranscodeCluster:
         self.on_step_done: Optional[Callable[[Step, bool], None]] = None
         #: When set, segment steps record per-rung queue waits here.
         self.ladder_metrics: Optional[LadderMetrics] = None
-        self.telemetry_mode = telemetry_mode
         self.stats = ClusterStats(throughput=ThroughputWindow(start_time=sim.now))
         # When an observability hub is installed, bind it to this run's
         # virtual clock (and the engine's active-process context) so
@@ -215,8 +208,6 @@ class TranscodeCluster:
         # hardware placement attempt until it completes.
         self._vcu_requests: Dict[int, Dict[str, float]] = {}
         self._rehabbing: Set[str] = set()
-        self.encoder_util = UtilizationTracker(sim.now)
-        self.decoder_util = UtilizationTracker(sim.now)
         # Workers that failed the golden battery at bind time enter the
         # same rehabilitation loop as mid-run quarantines: the resilience
         # subsystem is always on, not test-invoked.
@@ -240,28 +231,15 @@ class TranscodeCluster:
             count=len(self.vcu_workers),
         )
         self._available_count = int(self._avail_mask.sum())
+        # The utilization table, in the mask's fleet rows: every admit
+        # and release records the live fleet's mean utilization exactly.
+        self.telemetry = FleetTelemetry(
+            sim, self.vcu_workers, self._avail_mask, self._worker_index
+        )
+        self.encoder_util = self.telemetry.encoder_util
+        self.decoder_util = self.telemetry.decoder_util
         for worker in self.vcu_workers:
             worker.on_availability_change = self.note_availability_changed
-        # The utilization table: each VCU worker's encoder and decoder
-        # utilization, in the same fleet rows as the mask.  Only an admit
-        # or a release changes a worker's usage, and each re-reads just
-        # that worker (_reread_utilization), so recording a fleet mean
-        # reads the table, not the workers.
-        self._encoder_util_rows = np.fromiter(
-            (w.vcu.encoder_utilization() for w in self.vcu_workers),
-            dtype=np.float64,
-            count=len(self.vcu_workers),
-        )
-        self._decoder_util_rows = np.fromiter(
-            (w.vcu.decoder_utilization() for w in self.vcu_workers),
-            dtype=np.float64,
-            count=len(self.vcu_workers),
-        )
-        self._fleet_telemetry: Optional[FleetTelemetry] = None
-        if telemetry_mode == "sampled":
-            self._fleet_telemetry = FleetTelemetry(
-                self, sample_seconds=telemetry_sample_seconds
-            )
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -468,12 +446,7 @@ class TranscodeCluster:
         duration = worker.step_seconds(step.vcu_task, request)
         started = self.sim.now
         self._record_queue_wait(step)
-        self._reread_utilization(worker)
-        telemetry = self._fleet_telemetry
-        if telemetry is None:
-            self._record_utilization()
-        else:
-            telemetry.note_admit()
+        self.telemetry.note_admit(worker)
 
         def run() -> Generator:
             # One process per attempt.  The watchdog timer only fires
@@ -497,11 +470,7 @@ class TranscodeCluster:
             elif timer is not None:
                 timer.cancel()
             self.vcu_scheduler.release(worker, request)
-            self._reread_utilization(worker)
-            if telemetry is None:
-                self._record_utilization()
-            else:
-                telemetry.note_release()
+            self.telemetry.note_release(worker)
             if hung:
                 self._on_watchdog_expired(step, worker, excluded, started)
             else:
@@ -747,6 +716,7 @@ class TranscodeCluster:
         if now_available != bool(mask[index]):
             mask[index] = now_available
             self._available_count += 1 if now_available else -1
+            self.telemetry.live.mark_stale()
 
     def _sync_host_availability(self, host: VcuHost) -> None:
         for vcu in host.vcus:
@@ -795,12 +765,7 @@ class TranscodeCluster:
             hub = obs.active()
             if hub is not None:
                 hub.count("cluster.completed_graphs")
-                if self._fleet_telemetry is None:
-                    hub.observe("cluster.graph_latency_seconds", latency)
-                else:
-                    # Delivered in bulk at the next sample boundary; the
-                    # histogram has no time axis, so snapshots match.
-                    self._fleet_telemetry.note_graph_latency(latency)
+                self.telemetry.note_graph_latency(latency)
                 hub.emit(
                     "graph", graph.video_id,
                     t0=graph.submitted_at, t1=graph.completed_at,
@@ -812,44 +777,9 @@ class TranscodeCluster:
     # ------------------------------------------------------------------ #
     # Metrics
 
-    def _reread_utilization(self, worker: VcuWorker) -> None:
-        """Refresh one worker's row of the utilization table."""
-        index = self._worker_index[worker.name]
-        self._encoder_util_rows[index] = worker.vcu.encoder_utilization()
-        self._decoder_util_rows[index] = worker.vcu.decoder_utilization()
-
-    def _record_utilization(self) -> None:
-        """Record the live fleet's mean encoder and decoder utilization.
-
-        The mean runs over the table rows the availability mask selects,
-        in fleet order -- the same values, order and reduction as a walk
-        calling ``encoder_utilization()`` on every live worker, so the
-        recorded floats are identical to that walk's.  The mean is
-        ``np.mean``'s own reduction and division without its wrapper.
-        """
-        live = self._available_count
-        if not live:
-            return
-        encoder_rows = self._encoder_util_rows
-        decoder_rows = self._decoder_util_rows
-        if live < len(encoder_rows):
-            encoder_rows = encoder_rows[self._avail_mask]
-            decoder_rows = decoder_rows[self._avail_mask]
-        n = len(encoder_rows)
-        encoder = float(np.add.reduce(encoder_rows)) / n
-        decoder = float(np.add.reduce(decoder_rows)) / n
-        self.encoder_util.record(self.sim.now, encoder)
-        self.decoder_util.record(self.sim.now, decoder)
-        hub = obs.active()
-        if hub is not None:
-            now = self.sim.now
-            hub.metrics.time_gauge("cluster.encoder_util").set(now, encoder)
-            hub.metrics.time_gauge("cluster.decoder_util").set(now, decoder)
-
     def flush_telemetry(self) -> None:
-        """Force a sampled-telemetry flush (end-of-run bookkeeping)."""
-        if self._fleet_telemetry is not None:
-            self._fleet_telemetry.flush()
+        """Record the live fleet's mean utilization now."""
+        self.telemetry.flush()
 
     def healthy_vcu_count(self) -> int:
         return self._available_count

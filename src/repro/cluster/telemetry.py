@@ -1,98 +1,213 @@
-"""Sampled fleet telemetry: record utilization at sample boundaries.
+"""Fleet telemetry: exact utilization at every admit and release.
 
-The exact telemetry path (``TranscodeCluster._record_utilization``)
-records the live fleet's mean utilization *twice per step* -- at admit
-and at release.  Each record reads no worker, only the cluster's
-per-worker utilization table, but its mean still spans every live row,
-so at 50k VCUs the exact path does O(fleet) work per step.
-``FleetTelemetry`` records less often instead, when the cluster is
-constructed with ``telemetry_mode="sampled"``: the mode chooses *when*
-utilization is recorded, never *how*:
+The cluster records the live fleet's mean encoder and decoder
+utilization twice per VCU step, at admit and at release (the series
+behind the paper's Figure 9c).  :class:`FleetTelemetry` holds the
+per-worker utilization table those means are taken over, in the fleet
+rows of the cluster's availability mask, and records every mean as
+``float(np.add.reduce(rows[mask])) / n`` bit for bit -- the value a
+walk over every live worker computes -- without re-reducing every live
+row each time.
 
-* a sampler process wakes every ``sample_seconds`` of virtual time and
-  records the fleet means from the same table, into the same sinks the
-  exact path uses -- the cluster's
-  :class:`~repro.obs.registry.UtilizationTracker` pair and the
-  ``cluster.encoder_util``/``cluster.decoder_util`` time gauges of the
-  installed :class:`~repro.obs.registry.MetricsRegistry`;
-* per-graph latency observations are buffered and delivered in bulk
-  (``Histogram.observe_many``) at the same sample boundaries.  Histogram
-  state has no time axis, so the final snapshot is identical to the
-  per-event path's.
-
-The trade is explicit: utilization becomes a step function sampled at
-boundaries instead of an exact event-aligned series, which is why the
-cluster keeps ``telemetry_mode="exact"`` as the default and the golden
-traces run against it.  The sampler keeps itself alive only while work
-is in flight, so a drained simulation still terminates.
+:class:`LiveSums` makes that cheap.  For a contiguous 1-D float64 array
+``np.add.reduce`` is numpy's pairwise sum: a span of at most 128 values
+is summed whole (with eight accumulators), and a longer span splits at
+half its length rounded down to a multiple of 8, its sum being the
+float sum of the two halves' sums.  ``LiveSums`` keeps that recursion's
+partial sums over the live rows down to spans of at most
+:data:`LEAF_ROWS`; ``np.add.reduce`` over a leaf's span is the leaf's
+sum, because numpy runs the same recursion inside it.  A row update
+re-reduces one leaf and re-adds the ~log2(n/1024) sums above it.  An
+availability change shifts every later live row, so it only marks the
+sums stale; the next read rebuilds them.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, TYPE_CHECKING
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
+from repro.cluster.metrics import UtilizationTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.cluster import TranscodeCluster
+    from repro.cluster.worker import VcuWorker
+    from repro.sim.engine import Simulator
 
-#: Default virtual-time distance between telemetry flushes.
-DEFAULT_SAMPLE_SECONDS = 5.0
+#: The longest span :class:`LiveSums` reduces with one ``np.add.reduce``
+#: call (numpy splits it further inside).  Against leaves of numpy's own
+#: 128-value blocks, an update costs about the same, because the call's
+#: overhead dominates, and a rebuild makes an eighth as many calls.
+LEAF_ROWS = 1024
+
+_add_reduce = np.add.reduce
+
+
+class LiveSums:
+    """Sums of the masked rows of two float64 columns, as numpy adds them.
+
+    :meth:`sums` equals ``(float(np.add.reduce(first[mask])),
+    float(np.add.reduce(second[mask])))`` exactly.  Write rows only
+    through :meth:`set`, and call :meth:`mark_stale` after any change to
+    ``mask``, which the owner shares and mutates in place.
+    """
+
+    def __init__(self, first: np.ndarray, second: np.ndarray, mask: np.ndarray):
+        self.columns = (first, second)
+        self.mask = mask
+        #: Live rows, as of the last rebuild.
+        self.count = 0
+        self.stale = True
+
+    def mark_stale(self) -> None:
+        self.stale = True
+
+    def set(self, row: int, first: float, second: float) -> None:
+        """Write one row of both columns and re-add the sums above it."""
+        columns = self.columns
+        columns[0][row] = first
+        columns[1][row] = second
+        if self.stale:
+            return
+        at = self._live_at.item(row)
+        if at < 0:
+            return  # not a live row: no sum holds it
+        live_first, live_second = self._live
+        live_first[at] = first
+        live_second[at] = second
+        lo, hi, node = self._leaves[bisect_right(self._starts, at) - 1]
+        sums_first, sums_second = self._sums
+        sums_first[node] = float(_add_reduce(live_first[lo:hi]))
+        sums_second[node] = float(_add_reduce(live_second[lo:hi]))
+        parents, children = self._parents, self._children
+        node = parents[node]
+        while node >= 0:
+            left, right = children[node]
+            sums_first[node] = sums_first[left] + sums_first[right]
+            sums_second[node] = sums_second[left] + sums_second[right]
+            node = parents[node]
+
+    def sums(self) -> Tuple[float, float]:
+        """Both columns' live sums, rebuilt first if the mask changed."""
+        if self.stale:
+            self._rebuild()
+        return self._sums[0][0], self._sums[1][0]
+
+    def _rebuild(self) -> None:
+        mask = self.mask
+        live = (self.columns[0][mask], self.columns[1][mask])
+        at = np.cumsum(mask) - 1  # each row's position among the live rows
+        at[~mask] = -1
+        # numpy's recursion over the live rows.  Nodes are numbered
+        # parents first; a leaf has no children and one live-row span.
+        parents: List[int] = []
+        children: List[Tuple[int, int]] = []
+        leaves: List[Tuple[int, int, int]] = []
+
+        def split(lo: int, rows: int, parent: int) -> int:
+            node = len(parents)
+            parents.append(parent)
+            children.append((-1, -1))
+            if rows <= LEAF_ROWS:
+                leaves.append((lo, lo + rows, node))
+            else:
+                half = rows // 2 - rows // 2 % 8
+                children[node] = (
+                    split(lo, half, node), split(lo + half, rows - half, node)
+                )
+            return node
+
+        split(0, len(live[0]), -1)
+        sums = ([0.0] * len(parents), [0.0] * len(parents))
+        for lo, hi, node in leaves:
+            for column, column_sums in zip(live, sums):
+                column_sums[node] = float(_add_reduce(column[lo:hi]))
+        for node in reversed(range(len(parents))):  # children first
+            left, right = children[node]
+            if left >= 0:
+                for column_sums in sums:
+                    column_sums[node] = column_sums[left] + column_sums[right]
+        self._live = live
+        self._live_at = at
+        self._parents = parents
+        self._children = children
+        self._leaves = leaves
+        self._starts = [lo for lo, _, _ in leaves]
+        self._sums = sums
+        self.count = len(live[0])
+        self.stale = False
 
 
 class FleetTelemetry:
-    """A boundary-flush sampler over the cluster's utilization table."""
+    """The cluster's utilization table and its exact fleet-mean record.
+
+    The cluster calls :meth:`note_admit` and :meth:`note_release` after
+    each VCU step admission and release, :meth:`note_graph_latency` once
+    per completed graph, and ``live.mark_stale()`` when a worker's
+    availability flips.  Every record lands in :attr:`encoder_util` and
+    :attr:`decoder_util` and, when an observability hub is installed, in
+    its ``cluster.encoder_util``/``cluster.decoder_util`` time gauges.
+    """
 
     def __init__(
         self,
-        cluster: "TranscodeCluster",
-        sample_seconds: float = DEFAULT_SAMPLE_SECONDS,
+        sim: "Simulator",
+        workers: Sequence["VcuWorker"],
+        available: np.ndarray,
+        row_of: Dict[str, int],
     ):
-        if sample_seconds <= 0:
-            raise ValueError("sample_seconds must be positive")
-        self.cluster = cluster
-        self.sample_seconds = sample_seconds
-        self._latency_buffer: List[float] = []
-        self._inflight = 0
-        self.flushes = 0
-        self._running = False
+        self.sim = sim
+        self._row_of = row_of
+        self.encoder_util = UtilizationTracker(sim.now)
+        self.decoder_util = UtilizationTracker(sim.now)
+        # Only an admit or a release changes a worker's usage, and each
+        # re-reads just that worker, so a record reads this table, not
+        # the workers.
+        self.encoder_rows = np.fromiter(
+            (w.vcu.encoder_utilization() for w in workers),
+            dtype=np.float64,
+            count=len(workers),
+        )
+        self.decoder_rows = np.fromiter(
+            (w.vcu.decoder_utilization() for w in workers),
+            dtype=np.float64,
+            count=len(workers),
+        )
+        self.live = LiveSums(self.encoder_rows, self.decoder_rows, available)
 
-    # -------------------------------------------------------------- #
-    # O(1) hot-path updates (called by the cluster at admit/release)
+    def note_admit(self, worker: "VcuWorker") -> None:
+        """Re-read ``worker``'s row after its usage changed; record."""
+        vcu = worker.vcu
+        self.live.set(
+            self._row_of[worker.name],
+            vcu.encoder_utilization(),
+            vcu.decoder_utilization(),
+        )
+        self.flush()
 
-    def note_admit(self) -> None:
-        self._inflight += 1
-        if not self._running:
-            self._running = True
-            self.cluster.sim.process(self._sample_loop(), name="fleet-telemetry")
-
-    def note_release(self) -> None:
-        self._inflight -= 1
+    #: A release changes one worker's row exactly as an admit does.
+    note_release = note_admit
 
     def note_graph_latency(self, latency: float) -> None:
-        self._latency_buffer.append(latency)
-
-    # -------------------------------------------------------------- #
-    # Sample-boundary flush
-
-    def _sample_loop(self) -> Generator:
-        while True:
-            yield self.sample_seconds
-            self.flush()
-            if self._inflight == 0:
-                # Nothing running: stop so a drained simulation can end.
-                # The next admit restarts the loop.
-                self._running = False
-                return
+        """Observe one completed graph's latency."""
+        hub = obs.active()
+        if hub is not None:
+            hub.observe("cluster.graph_latency_seconds", latency)
 
     def flush(self) -> None:
-        """Record utilization and deliver buffered latencies, as the
-        exact path would have."""
-        self.cluster._record_utilization()
+        """Record the live fleet's mean encoder and decoder utilization."""
+        encoder_sum, decoder_sum = self.live.sums()
+        n = self.live.count
+        if not n:
+            return
+        now = self.sim.now
+        encoder = encoder_sum / n
+        decoder = decoder_sum / n
+        self.encoder_util.record(now, encoder)
+        self.decoder_util.record(now, decoder)
         hub = obs.active()
-        if hub is not None and self._latency_buffer:
-            hub.metrics.histogram("cluster.graph_latency_seconds").observe_many(
-                self._latency_buffer
-            )
-        self._latency_buffer.clear()
-        self.flushes += 1
+        if hub is not None:
+            hub.metrics.time_gauge("cluster.encoder_util").set(now, encoder)
+            hub.metrics.time_gauge("cluster.decoder_util").set(now, decoder)

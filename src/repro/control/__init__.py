@@ -28,7 +28,7 @@ is that layer for the simulated fleet:
 * :mod:`repro.control.canary` -- the firmware canary-rollout scenario
   (stage, detect regression from scorecards, roll back or promote).
 * :mod:`repro.control.chaos` -- the correlated-outage chaos campaign
-  (blast radius x repair capacity on a sampled-telemetry cluster).
+  (blast radius x repair capacity under a capped repair queue).
 * :mod:`repro.control.surge` -- popularity-surge / live-mix-shift
   demand disturbances over the platform-day machinery.
 

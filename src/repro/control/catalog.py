@@ -62,7 +62,7 @@ CANARY_SMOKE_HORIZON_SECONDS = 240.0
 CANARY_CANDIDATES: Tuple[str, ...] = ("fw-1.1.0-rc1", "fw-1.1.0-rc2")
 
 # --------------------------------------------------------------------- #
-# Correlated-outage chaos campaign (sampled telemetry, capped repair).
+# Correlated-outage chaos campaign (blast radius x capped repair).
 
 CHAOS_SEED = 19
 CHAOS_HORIZON_SECONDS = 900.0

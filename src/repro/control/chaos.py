@@ -7,8 +7,8 @@ hosts out at once while the repair pipeline can only drain and re-card
 a bounded number of them concurrently.  This campaign sweeps blast
 radius (hosts hit by a simultaneous ECC storm) against repair capacity
 (the :class:`~repro.failures.management.FailureManager` concurrency
-cap) on a sampled-telemetry cluster driven by the bucketed calendar
-engine, with a regional power outage layered mid-run for good measure.
+cap) on a cluster driven by the bucketed calendar engine, with a
+regional power outage layered mid-run for good measure.
 
 Two invariants are scored per arm and gated in CI:
 
@@ -203,8 +203,6 @@ def run_chaos_campaign(
     ]
     cluster = TranscodeCluster(
         sim, workers, cpus,
-        telemetry_mode="sampled",
-        telemetry_sample_seconds=15.0,
         seed=split_rng(seed, "chaos/cluster"),
     )
     injector = FaultInjector(

@@ -22,7 +22,7 @@ reconciliation tests diff against :class:`~repro.cluster.cluster.ClusterStats`.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 __all__ = [
     "Counter",
@@ -141,27 +141,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk :meth:`observe`: one pass with hoisted lookups.
-
-        Bucket state after the call is identical to observing each value
-        individually (bucket increments commute), which is what lets the
-        sampled-telemetry path buffer observations and deliver them at
-        sample boundaries without changing final snapshots.  Stays pure
-        Python by design -- the registry must import without numpy.
-        """
-        counts = self.counts
-        bounds = self.bounds
-        bisect_left = bisect.bisect_left
-        batch_total = 0
-        batch_sum = 0.0
-        for value in values:
-            counts[bisect_left(bounds, value)] += 1
-            batch_total += 1
-            batch_sum += value
-        self.total += batch_total
-        self.sum += batch_sum
 
     def quantile(self, q: float) -> float:
         """Upper-bound estimate of the ``q``-quantile (0 < q <= 1).

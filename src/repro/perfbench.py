@@ -14,10 +14,11 @@ very different speed):
 * the batched transform kernels, reported as absolute throughput.
 
 The end-to-end face of the same work is the benchmark's fleet day,
-``python3 bench/run.py --workload fleet-day``: a fleet with sampled
-telemetry runs a simulated day -- uploads arriving continuously, the
-failure sweeper disabling and repairing devices underneath -- and
-reports how many simulated seconds each wall second buys.
+``python3 bench/run.py --workload fleet-day``: a 20k-VCU fleet runs a
+simulated day -- uploads arriving continuously, the failure sweeper
+disabling and repairing devices underneath, utilization recorded
+exactly at every admit and release -- and reports how many simulated
+seconds each wall second buys.
 
 ``repro-bench perf`` runs everything and writes ``BENCH_PR8.json`` so CI
 can archive the numbers per commit; ``--smoke`` shrinks the workload for

@@ -6,8 +6,11 @@ coverage for the DAG validator and a schema-stability pin for the
 ``--graph --json`` document.
 """
 
+import ast
 import json
+import os
 import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from repro.analysis.layering import (
     ArchitectureLayeringRule,
     validate_dag,
 )
-from repro.analysis.core import run_lint
+from repro.analysis.core import _import_table, run_lint
 from repro.analysis.machines import MachineSpec, StateMachineRule
 from repro.analysis.project import (
     GRAPH_JSON_VERSION,
@@ -159,6 +162,43 @@ class TestImportGraph:
         assert dot.startswith("digraph repro {")
         assert '"metrics" -> "video";' in dot  # toplevel beats lazy
 
+    def test_one_walk_keeps_both_readers_orders(self):
+        """The import table is read in ``ast.walk``'s breadth-first order
+        (a later import of a name wins), and a ``TYPE_CHECKING`` block's
+        edges are listed in that order too; both come from one walk."""
+        source = textwrap.dedent("""\
+            from typing import TYPE_CHECKING
+
+
+            def late():
+                from repro.b import helper as h
+                return h
+
+
+            from repro.c import thing as h
+
+            if TYPE_CHECKING:
+                if True:
+                    from repro.b import helper
+                from repro.c import thing
+            """)
+        project = ctx({
+            "src/repro/a.py": source,
+            "src/repro/b.py": "def helper(): pass\n",
+            "src/repro/c.py": "thing = 1\n",
+        })
+        info = project.modules["repro.a"]
+        walked = _import_table(ast.walk(ast.parse(source)), "repro.a")
+        assert info.imports == walked
+        assert info.imports["h"] == "repro.b.helper"  # deeper, so later
+        edges = [(e.dst, e.kind, e.line) for e in project.edges]
+        assert edges == [
+            ("repro.b", "lazy", 5),
+            ("repro.c", "toplevel", 9),
+            ("repro.c", "type_checking", 14),
+            ("repro.b", "type_checking", 13),
+        ]
+
     def test_load_project_reports_parse_errors(self, tmp_path):
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "ok.py").write_text("x = 1\n")
@@ -166,6 +206,36 @@ class TestImportGraph:
         project, errors = load_project(tmp_path, ("src",))
         assert len(errors) == 1 and "broken.py" in errors[0]
         assert project.module_for_path("src/ok.py") is not None
+
+
+class TestLazyPackage:
+    def test_registry_import_loads_no_lint_rule(self):
+        """The experiment registry needs only the import graph; the rule
+        modules load when a rule list is first read."""
+        code = textwrap.dedent("""\
+            import sys
+            import repro.runner.experiments
+            rules = ("repro.analysis.rules", "repro.analysis.races",
+                     "repro.analysis.machines")
+            print([name for name in rules if name in sys.modules])
+            from repro.analysis import default_project_rules, default_rules
+            print([rule.id for rule in default_rules()])
+            print([rule.id for rule in default_project_rules()])
+            """)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "[]",
+            str([
+                "determinism", "obs-hook", "sim-yield", "ordered-iteration",
+                "float-parity", "hygiene", "capacity-through-scheduler",
+                "determinism-taint",
+            ]),
+            str(["layering", "sim-race", "state-machine"]),
+        ]
 
 
 # --------------------------------------------------------------------- #

@@ -2,29 +2,41 @@
 
 Every handler must return its own rc (``main`` forwards it), the ``run``
 subcommand must produce a parseable manifest plus a warm-cache second
-invocation, and the historical perf/report paths keep their contracts.
+invocation and write the committed manifest's name only for a full run,
+and the historical perf/report paths keep their contracts.
 Out-of-range arguments are usage errors (rc 2), never tracebacks.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.runner import DEFAULT_MANIFEST_NAME
+from repro.runner import DEFAULT_MANIFEST_NAME, experiments
+from repro.runner.registry import ExperimentRegistry
 
 # table2 is the cheapest registered experiment (one analytic unit), so
 # the CLI round-trips stay fast enough for tier-1.
 EXPERIMENT = "table2-host-resources"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+@pytest.fixture
+def one_experiment_registry(monkeypatch):
+    """``run`` sees a registry holding only :data:`EXPERIMENT`."""
+    only = ExperimentRegistry()
+    only.add(experiments.default_registry().get(EXPERIMENT))
+    monkeypatch.setattr(experiments, "default_registry", lambda: only)
 
 
 class TestRunSubcommand:
@@ -73,11 +85,35 @@ class TestRunSubcommand:
         assert "unknown experiment" in err
         assert not (workdir / DEFAULT_MANIFEST_NAME).exists()
 
-    def test_default_out_is_the_manifest_name(self, workdir, capsys):
-        assert main(["run", EXPERIMENT, "--no-cache"]) == 0
+    def test_default_out_is_the_manifest_name(
+        self, workdir, capsys, one_experiment_registry
+    ):
+        """A full run -- every registered experiment, full grids -- is
+        the one run that writes the committed manifest's name by default."""
+        assert main(["run", "--no-cache"]) == 0
         assert f"wrote {DEFAULT_MANIFEST_NAME}" in capsys.readouterr().err
         manifest = json.loads((workdir / DEFAULT_MANIFEST_NAME).read_text())
         assert list(manifest["experiments"]) == [EXPERIMENT]
+
+    def test_smoke_run_writes_no_manifest(
+        self, workdir, capsys, one_experiment_registry
+    ):
+        assert main(["run", "--smoke", "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "## " in captured.out
+        assert "wrote no manifest" in captured.err
+        assert list(workdir.iterdir()) == []
+
+    def test_subset_run_leaves_the_committed_manifest_alone(self, workdir, capsys):
+        """``run --only X`` from a checkout root used to replace the
+        committed nine-experiment manifest with a one-experiment file."""
+        committed = (REPO_ROOT / DEFAULT_MANIFEST_NAME).read_bytes()
+        (workdir / DEFAULT_MANIFEST_NAME).write_bytes(committed)
+        assert main(["run", "--only", EXPERIMENT, "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "## " in captured.out  # the tables still print
+        assert "wrote no manifest" in captured.err
+        assert (workdir / DEFAULT_MANIFEST_NAME).read_bytes() == committed
 
 
 class TestPerfSubcommand:

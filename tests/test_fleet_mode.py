@@ -1,4 +1,5 @@
-"""Cluster hot paths: persistent per-shape fit bits and O(1) availability.
+"""Cluster hot paths: persistent per-shape fit bits, O(1) availability and
+exact utilization records.
 
 The cluster layer trades per-placement scans for cached and
 incrementally maintained state.  These tests pin the equivalence claims
@@ -13,15 +14,14 @@ down:
   observation point, through quarantines, rehabilitation, sweep
   disables, host drains and repairs, including a sweep that takes a
   host past its fault budget while the capped repair queue is full.
-* ``telemetry_mode="sampled"`` buffers observations but delivers the
-  *same* final graph-latency histogram as the exact path (bucket
-  increments commute), while actually flushing at sample boundaries.
 * After every drain, the scheduler's rows equal a freshly built
   scheduler's, every cached request shape's fit bits (caught up with
   the change log) equal the vectorized fit mask over those rows, and
-  the cluster's utilization table equals a fresh per-worker read;
+  the telemetry's utilization table equals a fresh per-worker read;
   every recorded utilization mean equals the old walk over every live
-  worker, under both schedulers and both telemetry modes.
+  worker, under both schedulers and through a fault-and-repair storm.
+  (``tests/test_live_sums.py`` holds the pairwise sums behind those
+  records to numpy's own reduction.)
 * A saturated month computes each transcode step's resource request
   once, however many placements refuse it.
 """
@@ -35,9 +35,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
 from repro.cluster.scheduler import BinPackingScheduler
+from repro.cluster.telemetry import FleetTelemetry
 from repro.cluster.timeline import default_timeline, run_month
 from repro.failures import FailureManager, FailureSweeper, FaultInjector
 from repro.sim.engine import Simulator
@@ -259,58 +259,6 @@ class TestFleetAvailability:
         _assert_count_exact(cluster)
 
 
-class TestSampledTelemetry:
-    def _run_day(self, mode):
-        with obs.installed() as hub:
-            sim = Simulator()
-            _, cluster = _fleet_cluster(
-                sim, telemetry_mode=mode, telemetry_sample_seconds=5.0,
-            )
-            for i in range(10):
-                cluster.submit(_upload(f"tele-v{i}"))
-            sim.run()
-            hist = hub.metrics.histogram("cluster.graph_latency_seconds")
-            return cluster, (tuple(hist.counts), hist.total, hist.sum)
-
-    def test_sampled_graph_latencies_match_exact(self):
-        exact_cluster, exact_hist = self._run_day("exact")
-        sampled_cluster, sampled_hist = self._run_day("sampled")
-        assert exact_cluster.stats.completed_graphs == 10
-        assert sampled_cluster.stats.completed_graphs == 10
-        # Buffered observe_many delivers the identical final histogram.
-        assert sampled_hist == exact_hist
-
-    def test_sampler_flushes_and_terminates(self):
-        sim = Simulator()
-        _, cluster = _fleet_cluster(
-            sim, telemetry_mode="sampled", telemetry_sample_seconds=5.0,
-        )
-        cluster.submit(_upload("flush-v0"))
-        sim.run()  # terminates: the sampler stops once in-flight drains
-        telemetry = cluster._fleet_telemetry
-        assert telemetry is not None
-        assert telemetry.flushes > 0
-        assert telemetry._inflight == 0
-        assert not telemetry._running
-
-    def test_sampler_restarts_on_next_admission(self):
-        sim = Simulator()
-        _, cluster = _fleet_cluster(
-            sim, telemetry_mode="sampled", telemetry_sample_seconds=5.0,
-        )
-        cluster.submit(_upload("wave-1"))
-        sim.run()
-        flushes_after_first = cluster._fleet_telemetry.flushes
-        cluster.submit(_upload("wave-2"))
-        sim.run()
-        assert cluster._fleet_telemetry.flushes > flushes_after_first
-
-    def test_invalid_mode_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="telemetry_mode"):
-            TranscodeCluster(sim, [], telemetry_mode="bogus")
-
-
 def _walk_means(cluster):
     """Oracle: the recorded means as they were computed before the
     utilization table -- a Python mean over every live worker."""
@@ -328,7 +276,13 @@ class TestRowsAndUtilizationTableExact:
     def checked(self, monkeypatch):
         seen = {"drains": 0, "records": 0, "shapes": 0, "cluster": None}
         drain = TranscodeCluster._drain_pending
-        record = TranscodeCluster._record_utilization
+        record = FleetTelemetry.flush
+        init = TranscodeCluster.__init__
+        owner = {}
+
+        def tracked_init(cluster, *args, **kwargs):
+            init(cluster, *args, **kwargs)
+            owner[cluster.telemetry] = cluster
 
         def checked_drain(cluster):
             drain(cluster)
@@ -346,29 +300,31 @@ class TestRowsAndUtilizationTableExact:
                     seen["shapes"] += 1
             workers = cluster.vcu_workers
             assert np.array_equal(
-                cluster._encoder_util_rows,
+                cluster.telemetry.encoder_rows,
                 [w.vcu.encoder_utilization() for w in workers],
             )
             assert np.array_equal(
-                cluster._decoder_util_rows,
+                cluster.telemetry.decoder_rows,
                 [w.vcu.decoder_utilization() for w in workers],
             )
             seen["drains"] += 1
             seen["cluster"] = cluster
 
-        def checked_record(cluster):
-            record(cluster)
+        def checked_record(telemetry):
+            record(telemetry)
+            cluster = owner[telemetry]
             if cluster.healthy_vcu_count():
                 recorded = (cluster.encoder_util.current, cluster.decoder_util.current)
                 assert recorded == _walk_means(cluster)
                 seen["records"] += 1
 
+        monkeypatch.setattr(TranscodeCluster, "__init__", tracked_init)
         monkeypatch.setattr(TranscodeCluster, "_drain_pending", checked_drain)
-        monkeypatch.setattr(TranscodeCluster, "_record_utilization", checked_record)
+        monkeypatch.setattr(FleetTelemetry, "flush", checked_record)
         return seen
 
     def test_figure9_month(self, checked):
-        """A saturated exact-mode month: deep pending queues, most
+        """A saturated month: deep pending queues, most
         placements rejected, both hardware-decode lanes in play."""
         month = default_timeline(7)[6]
         result = run_month(month, horizon_seconds=20.0, seed=5)
@@ -391,11 +347,12 @@ class TestRowsAndUtilizationTableExact:
         assert cluster.vcu_scheduler.rejections > 0
         assert checked["drains"] > 0 and checked["records"] > 0
 
-    def test_sampled_mode_through_fault_and_repair_storm(self, checked):
+    def test_through_fault_and_repair_storm(self, checked):
+        """Quarantines, sweep disables, drains and repairs flip the
+        availability mask between records: each flip marks the sums
+        stale and the next record rebuilds them."""
         sim = Simulator()
-        hosts, cluster = _fleet_cluster(
-            sim, telemetry_mode="sampled", telemetry_sample_seconds=5.0,
-        )
+        hosts, cluster = _fleet_cluster(sim)
         sweeper = _start_storm(sim, hosts, cluster)
         sim.run()
         assert cluster.stats.workers_quarantined > 0
