@@ -95,7 +95,9 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.module_name = _module_name(path)
-        self.imports = _import_table(ast.walk(tree), self.module_name)
+        self.imports = _import_table(
+            ast.walk(tree), self.module_name, Path(path).name == "__init__.py"
+        )
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -182,17 +184,36 @@ def _module_name(path: str) -> str:
     return ".".join(parts)
 
 
-def _import_table(nodes: Iterable[ast.AST], module_name: str) -> Dict[str, str]:
+def _package_parts(module_name: str, is_package: bool) -> List[str]:
+    """The package a module's relative imports resolve against: a
+    package's ``__init__`` is in the package itself, any other module in
+    its parent."""
+    parts = module_name.split(".") if module_name else []
+    return parts if is_package else parts[:-1]
+
+
+def _import_base(node: ast.ImportFrom, package_parts: List[str]) -> str:
+    """The absolute module ``from <module> import ...`` names."""
+    if not node.level:
+        return node.module or ""
+    prefix = package_parts[: len(package_parts) - (node.level - 1)]
+    return ".".join(prefix + ([node.module] if node.module else []))
+
+
+def _import_table(
+    nodes: Iterable[ast.AST], module_name: str, is_package: bool
+) -> Dict[str, str]:
     """Map local names to the dotted module path they were imported from.
 
     ``import numpy as np`` -> ``{"np": "numpy"}``;
     ``from time import perf_counter`` -> ``{"perf_counter": "time.perf_counter"}``.
     ``nodes`` are a module's nodes in ``ast.walk`` order (other nodes
     than imports are skipped); a later import of a name wins.  Relative
-    imports are resolved against ``module_name``.
+    imports are resolved against the package of ``module_name``, which
+    is the module itself when ``is_package`` (its ``__init__``).
     """
     table: Dict[str, str] = {}
-    package_parts = module_name.split(".")[:-1] if module_name else []
+    package_parts = _package_parts(module_name, is_package)
     for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -201,10 +222,7 @@ def _import_table(nodes: Iterable[ast.AST], module_name: str) -> Dict[str, str]:
                 else:
                     table[alias.name.split(".")[0]] = alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                prefix = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module else []))
+            base = _import_base(node, package_parts)
             for alias in node.names:
                 local = alias.asname or alias.name
                 table[local] = f"{base}.{alias.name}" if base else alias.name

@@ -39,8 +39,10 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, T
 
 from repro.analysis.core import (
     Finding,
+    _import_base,
     _import_table,
     _module_name,
+    _package_parts,
     iter_python_files,
 )
 
@@ -89,7 +91,7 @@ class ModuleInfo:
         self.tree = tree
         self.is_package = Path(path).name == "__init__.py"
         imports, sites = _scan_imports(tree)
-        self.imports = _import_table(imports, name)
+        self.imports = _import_table(imports, name, self.is_package)
         #: Imports and string constants, each with the kind of edge it
         #: makes, in the order :func:`_collect_edges` resolves them.
         self.edge_sites = sites
@@ -220,8 +222,7 @@ def _collect_edges(
     info: ModuleInfo, modules: Dict[str, ModuleInfo]
 ) -> List[ImportEdge]:
     """Classified, resolved import edges out of one module."""
-    parts = info.name.split(".")
-    package_parts = parts if info.is_package else parts[:-1]
+    package_parts = _package_parts(info.name, info.is_package)
     edges: List[ImportEdge] = []
 
     def resolve(dotted: str) -> Optional[str]:
@@ -238,10 +239,7 @@ def _collect_edges(
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                prefix = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module else []))
+            base = _import_base(node, package_parts)
             if base:
                 # ``from base import name`` may name submodules; resolve
                 # both and keep whichever is deepest per alias.
@@ -270,10 +268,7 @@ def _collect_edges(
         # `from base import *` / symbols that didn't resolve individually
         # still establish the base-module edge.
         if isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                prefix = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module else []))
+            base = _import_base(node, package_parts)
             dst = resolve(base) if base else None
             if dst is not None and dst != info.name and dst not in seen:
                 edges.append(

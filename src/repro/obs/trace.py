@@ -17,12 +17,29 @@ test enforces the sum of them):
   float noise below that threshold cannot flip a byte;
 * span ordering is the emission order of a deterministic simulator run,
   tie-broken by the monotone ``seq`` assigned at append time.
+
+A span is written by one serializer, :func:`_line`, behind both
+:meth:`TraceSpan.to_json` and :meth:`TraceLog.to_jsonl`.  It writes the
+six keys in sorted order (``attrs``, ``kind``, ``name``, ``seq``, ``t0``,
+``t1``) through one compact, key-sorted encoder built at import, and so
+produces exactly the bytes of ``json.dumps(span.to_dict(),
+sort_keys=True, separators=(",", ":"))`` without building that dict or a
+new encoder per span.  A ``dict`` of attributes whose values are all
+``str``, ``int``, ``bool`` or ``None`` is what :func:`_clean` would
+return, so it goes to the encoder as it is; any other value sends the
+whole mapping through :func:`_clean`.  :meth:`TraceLog.read_jsonl`
+decodes each line with one prebuilt scanner and re-parses any line the
+scanner cannot take whole with ``json.loads``, so a bad line fails with
+``json.loads``'s own message.
 """
 
 from __future__ import annotations
 
 import json
+from _json import make_encoder
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["TraceSpan", "TraceLog"]
@@ -64,7 +81,59 @@ def _clean(value: Any) -> Any:
         return str(value)
 
 
-@dataclass
+def _clean_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    return {k: _clean(v) for k, v in sorted(attrs.items())}
+
+
+#: Attribute value types :func:`_clean` returns unchanged.
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+#: The compact, key-sorted encoder ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))`` builds on every call, built once.  It skips
+#: the circular-reference check: attributes reach it flat, or as the
+#: fresh lists :func:`_clean` builds, so they hold no cycle.  (A span
+#: field that is itself a cyclic container raises ``RecursionError``
+#: here where ``json.dumps`` raises ``ValueError``.)
+_encoder = make_encoder(
+    None, json.JSONEncoder().default, _quote, None, ":", ",", True, False, True
+)
+#: The scanner ``json.loads`` runs, built once for every line read.
+_scan = json.JSONDecoder().scan_once  # type: ignore[attr-defined]
+
+
+def _encode(value: Any) -> str:
+    return "".join(_encoder(value, 0))
+
+
+def _time(value: Any) -> str:
+    value = round(value, 9)
+    if type(value) is float and isfinite(value):
+        return float.__repr__(value)
+    return _encode(value)
+
+
+def _line(span: "TraceSpan") -> str:
+    """``span`` as one JSON object, byte for byte what ``json.dumps``
+    writes for :meth:`TraceSpan.to_dict` with sorted keys and compact
+    separators."""
+    attrs = span.attrs
+    if type(attrs) is not dict or not _PLAIN.issuperset(map(type, attrs.values())):
+        attrs = _clean_attrs(attrs)
+    kind, name, seq, t0, t1 = span.kind, span.name, span.seq, span.t0, span.t1
+    start = _time(t0)
+    return "".join((
+        '{"attrs":', _encode(attrs),
+        ',"kind":', _quote(kind) if type(kind) is str else _encode(kind),
+        ',"name":', _quote(name) if type(name) is str else _encode(name),
+        ',"seq":', int.__repr__(seq) if type(seq) is int else _encode(seq),
+        ',"t0":', start,
+        # A point span from TraceLog.append holds one time object twice.
+        ',"t1":', start if t1 is t0 else _time(t1),
+        "}",
+    ))
+
+
+@dataclass(slots=True)
 class TraceSpan:
     """One traced event: a point (``t0 == t1``) or an interval."""
 
@@ -86,21 +155,21 @@ class TraceSpan:
             "name": self.name,
             "t0": round(self.t0, 9),
             "t1": round(self.t1, 9),
-            "attrs": {k: _clean(v) for k, v in sorted(self.attrs.items())},
+            "attrs": _clean_attrs(self.attrs),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _line(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TraceSpan":
         return cls(
-            seq=int(data["seq"]),
-            kind=str(data["kind"]),
-            name=str(data["name"]),
-            t0=float(data["t0"]),
-            t1=float(data["t1"]),
-            attrs=dict(data.get("attrs", {})),
+            int(data["seq"]),
+            str(data["kind"]),
+            str(data["name"]),
+            float(data["t0"]),
+            float(data["t1"]),
+            dict(data.get("attrs", {})),
         )
 
 
@@ -149,7 +218,7 @@ class TraceLog:
 
     def to_jsonl(self) -> str:
         """The whole log as JSON Lines (one span per line, sorted keys)."""
-        return "".join(span.to_json() + "\n" for span in self._spans)
+        return "".join([_line(span) + "\n" for span in self._spans])
 
     def write_jsonl(self, path: str) -> int:
         """Dump the log to ``path``; returns the number of spans written."""
@@ -171,7 +240,15 @@ class TraceLog:
                 if not line:
                     continue
                 try:
-                    spans.append(TraceSpan.from_dict(json.loads(line)))
+                    try:
+                        data, end = _scan(line, 0)
+                    except (StopIteration, ValueError):
+                        end = -1
+                    if end != len(line):
+                        # Not one whole JSON value: json.loads raises
+                        # its own message for the line.
+                        data = json.loads(line)
+                    spans.append(TraceSpan.from_dict(data))
                 except KeyError as exc:
                     raise ValueError(
                         f"{path}:{number}: span has no {exc.args[0]!r} field"

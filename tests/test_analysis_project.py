@@ -22,7 +22,7 @@ from repro.analysis.layering import (
     ArchitectureLayeringRule,
     validate_dag,
 )
-from repro.analysis.core import _import_table, run_lint
+from repro.analysis.core import FileContext, _import_table, run_lint
 from repro.analysis.machines import MachineSpec, StateMachineRule
 from repro.analysis.project import (
     GRAPH_JSON_VERSION,
@@ -112,6 +112,20 @@ class TestImportGraph:
         dsts = {e.dst for e in project.edges if e.src == "repro.pkg.a"}
         assert "repro.pkg.b" in dsts
 
+    def test_package_init_relative_import_resolves_in_the_package(self):
+        """A package ``__init__`` is inside its own package, so its
+        relative import names the same module in the import table (what
+        the per-file and whole-program rules read) as in the edge."""
+        init = "src/repro/pkg/__init__.py"
+        sources = {init: "from .core import thing", "src/repro/pkg/core.py": "thing = 1"}
+        project = ProjectContext.from_sources(sources)
+        assert project.modules["repro.pkg"].imports == {"thing": "repro.pkg.core.thing"}
+        assert [(e.src, e.dst) for e in project.edges] == [("repro.pkg", "repro.pkg.core")]
+        tree = ast.parse(sources[init])
+        assert FileContext(init, sources[init], tree).imports == {
+            "thing": "repro.pkg.core.thing"
+        }
+
     def test_from_import_resolves_symbol_to_module(self):
         project = ctx({
             "src/repro/a.py": "from repro.b import helper\n",
@@ -188,7 +202,7 @@ class TestImportGraph:
             "src/repro/c.py": "thing = 1\n",
         })
         info = project.modules["repro.a"]
-        walked = _import_table(ast.walk(ast.parse(source)), "repro.a")
+        walked = _import_table(ast.walk(ast.parse(source)), "repro.a", False)
         assert info.imports == walked
         assert info.imports["h"] == "repro.b.helper"  # deeper, so later
         edges = [(e.dst, e.kind, e.line) for e in project.edges]

@@ -176,18 +176,34 @@ class TestBadInput:
         assert repr(path) in captured.err
         assert "finding" not in captured.out  # nothing was linted
 
+    GOOD_SPAN = '{"seq": 0, "kind": "step", "name": "s", "t0": 0.0, "t1": 1.0}'
+
     @pytest.mark.parametrize("line, problem", [
-        ("not json", "not a trace span"),
-        ('{"seq": 1, "name": "s", "t0": 0.0, "t1": 1.0}', "no 'kind' field"),
-        ("[1, 2]", "not a trace span"),
-    ], ids=["not-json", "no-kind", "not-an-object"])
+        ("not json",
+         "not a trace span (Expecting value: line 1 column 1 (char 0))"),
+        ('{"seq": 1, "name": "s", "t0": 0.0, "t1": 1.0}',
+         "span has no 'kind' field"),
+        ("[1, 2]",
+         "not a trace span (list indices must be integers or slices, not str)"),
+        (GOOD_SPAN + " x",
+         "not a trace span (Extra data: line 1 column 63 (char 62))"),
+        (GOOD_SPAN + GOOD_SPAN,
+         "not a trace span (Extra data: line 1 column 62 (char 61))"),
+        ("\ufeff" + GOOD_SPAN,
+         "not a trace span (Unexpected UTF-8 BOM (decode using utf-8-sig):"
+         " line 1 column 1 (char 0))"),
+        (GOOD_SPAN[:-1] + ', "attrs": null}',
+         "not a trace span ('NoneType' object is not iterable)"),
+    ], ids=["not-json", "no-kind", "not-an-object", "extra-data",
+            "two-objects", "bom", "attrs-null"])
     def test_bad_trace_line_is_rc2_naming_the_line(
         self, line, problem, workdir, capsys
     ):
-        good = '{"seq": 0, "kind": "step", "name": "s", "t0": 0.0, "t1": 1.0}'
-        (workdir / "bad.jsonl").write_text(f"{good}\n\n{line}\n")
+        """Each message is the one ``json.loads`` and ``TraceSpan.from_dict``
+        give for the line, whichever path the reader took."""
+        (workdir / "bad.jsonl").write_text(
+            f"{self.GOOD_SPAN}\n\n{line}\n", encoding="utf-8"
+        )
         assert main(["report", "bad.jsonl"]) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("report: bad trace: bad.jsonl:3: ")
-        assert problem in err
+        assert err == f"report: bad trace: bad.jsonl:3: {problem}\n"

@@ -88,6 +88,24 @@ class TestTraceLog:
         spans = TraceLog.read_jsonl(path)
         assert [s.to_json() for s in spans] == [s.to_json() for s in log]
 
+    @pytest.mark.parametrize("fields, read_back", [
+        ('"seq": 1, "t0": 0.0, "t1": 1.0, "attrs": [["a", 1]]',
+         "t0=0.0, t1=1.0, attrs={'a': 1}"),
+        ('"seq": 1.7, "t0": 0.0, "t1": 1.0', "t0=0.0, t1=1.0, attrs={}"),
+        ('"seq": 1, "t0": "3", "t1": 1.0', "t0=3.0, t1=1.0, attrs={}"),
+        ('"seq": 1, "t0": NaN, "t1": Infinity', "t0=nan, t1=inf, attrs={}"),
+        ('"seq": 1, "t0": -Infinity, "t1": 1.0', "t0=-inf, t1=1.0, attrs={}"),
+    ], ids=["attrs-pairs", "float-seq", "string-time", "nan-inf", "minus-inf"])
+    def test_reader_keeps_from_dict_conversions(self, fields, read_back, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"kind": "step", "name": "s", ' + fields + "}\n", encoding="utf-8"
+        )
+        [span] = TraceLog.read_jsonl(str(path))
+        assert repr(span) == (
+            f"TraceSpan(seq=1, kind='step', name='s', {read_back})"
+        )
+
 
 class TestHub:
     def test_install_uninstall_lifecycle(self):
