@@ -567,6 +567,7 @@ class FloatParityRule(Rule):
     include = (
         "src/repro/codec/kernels.py",
         "tests/test_codec_kernels.py",
+        "tests/test_codec_partition_bound.py",
         "tests/test_cluster_scheduler.py",
     )
 

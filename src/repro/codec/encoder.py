@@ -8,7 +8,11 @@ transform/quantize/reconstruct treatment (the paper's "approximate
 encoding/decoding" candidate selection).  When the profile allows
 partitioning, the block is also encoded as four recursively-coded
 sub-blocks and the cheaper RD cost wins -- the bounded recursive
-partition search of Section 3.2.
+partition search of Section 3.2.  The split candidate stops as soon as
+the partition signal, the sub-blocks coded so far and the least cost of
+each one left (:func:`_split_bound`) reach the whole block's cost: the
+split can then no longer win, so the search picks exactly what trying
+every sub-block would pick (DESIGN.md, "Bounded partition search").
 
 Every decision is appended to a symbolic bitstream (a list of
 :class:`BlockRecord`) that :mod:`repro.codec.decoder` can replay to the
@@ -49,6 +53,19 @@ ALTREF_INTERVAL = 4
 SPLIT_GATE_SAD_PER_PIXEL = 2.0
 #: Mean intra error per pixel below which motion search is skipped.
 INTRA_GOOD_ENOUGH_PER_PIXEL = 0.75
+
+
+def _split_bound(cost: float, floor: float, remaining: int) -> float:
+    """A lower bound on a split's final RD cost: the ``cost`` summed so
+    far plus ``floor`` once for each of the ``remaining`` sub-blocks.
+
+    The floors are added one at a time, in the order the split adds the
+    sub-block costs they stand for.  Rounded addition is monotone, so
+    the bound never exceeds the sum it bounds.
+    """
+    for _ in range(remaining):
+        cost += floor
+    return cost
 
 
 @dataclass
@@ -274,6 +291,12 @@ class Encoder:
             and size >= 8
             and sad > SPLIT_GATE_SAD_PER_PIXEL * size * size
         ):
+            # The least any coded block can cost: zero distortion, a
+            # skipped residual and the cheaper (intra) mode signal.
+            floor = lam * (
+                entropy.SKIP_BITS * self.profile.entropy_efficiency
+                + entropy.MODE_BITS_INTRA
+            )
             whole_recon = recon[y : y + size, x : x + size].copy()
             recon[y : y + size, x : x + size] = saved
             half = size // 2
@@ -281,17 +304,20 @@ class Encoder:
             split_cost = lam * 2.0  # partition signalling
             split_bits = 2.0
             split_sad = 0.0
-            for oy in (0, half):
-                for ox in (0, half):
-                    sub, sub_cost, sub_bits, sub_sad = self._encode_block(
-                        source, recon, references, y + oy, x + ox, half,
-                        qp, lam, split_depth - 1, predicted_mv, planes,
-                    )
-                    sub_records.append(sub)
-                    split_cost += sub_cost
-                    split_bits += sub_bits
-                    split_sad += sub_sad
-            if split_cost < cost:
+            for oy, ox in ((0, 0), (0, half), (half, 0), (half, half)):
+                # Stop as soon as the split cannot beat the whole block,
+                # even if every sub-block left costs only the floor.
+                if _split_bound(split_cost, floor, 4 - len(sub_records)) >= cost:
+                    break
+                sub, sub_cost, sub_bits, sub_sad = self._encode_block(
+                    source, recon, references, y + oy, x + ox, half,
+                    qp, lam, split_depth - 1, predicted_mv, planes,
+                )
+                sub_records.append(sub)
+                split_cost += sub_cost
+                split_bits += sub_bits
+                split_sad += sub_sad
+            if len(sub_records) == 4 and split_cost < cost:
                 return (
                     BlockRecord(y=y, x=x, size=size, mode="split", split=sub_records),
                     split_cost,

@@ -359,14 +359,14 @@ def motion_search(
     box_hi_cy = min(hi_cy, max(0, py) + margin)
     box_lo_cx = max(lo_cx, min(0, px) - margin)
     box_hi_cx = min(hi_cx, max(0, px) + margin)
-    gathered = np.ascontiguousarray(
-        windows[
-            y + box_lo_cy : y + box_hi_cy + 1,
-            x + box_lo_cx : x + box_hi_cx + 1,
-        ]
-    )
-    # In-place |gathered - source| (gathered is our private copy), reduced
-    # to python floats so the walk below never touches numpy scalars.
+    # Always a private copy: the window view is read-only, and a box of
+    # one candidate on a reference one block wide is already contiguous.
+    gathered = windows[
+        y + box_lo_cy : y + box_hi_cy + 1,
+        x + box_lo_cx : x + box_hi_cx + 1,
+    ].copy()
+    # In-place |gathered - source|, reduced to python floats so the walk
+    # below never touches numpy scalars.
     np.subtract(gathered, source, out=gathered)
     np.abs(gathered, out=gathered)
     sad_map = gathered.sum(axis=(2, 3)).tolist()

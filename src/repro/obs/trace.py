@@ -39,7 +39,7 @@ import json
 from _json import make_encoder
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from math import isfinite
+from math import isfinite, isinf
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["TraceSpan", "TraceLog"]
@@ -64,12 +64,32 @@ __all__ = ["TraceSpan", "TraceLog"]
 #: ========== ==========================================================
 
 
+def _round(value: Any) -> Any:
+    """``round(value, 9)``: the one rounding of every written float.
+
+    numpy rounds a ``float64`` as ``rint(value * 1e9) / 1e9``; above
+    ~1.8e299 the scaling overflows, and the finite value would be written
+    as ``Infinity`` (with a ``RuntimeWarning``).  Only there is the value
+    rounded as a Python float, whose ``round`` does not overflow.  Every
+    other value keeps ``round``'s own result, so no byte written before
+    changes.
+    """
+    if (
+        type(value) is not float
+        and isinstance(value, float)
+        and isinf(float(value) * 1e9)
+        and isfinite(value)
+    ):
+        return round(float(value), 9)
+    return round(value, 9)
+
+
 def _clean(value: Any) -> Any:
     """Coerce an attribute value into a deterministic JSON scalar."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return round(value, 9)
+        return _round(value)
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, (set, frozenset)):
@@ -106,7 +126,7 @@ def _encode(value: Any) -> str:
 
 
 def _time(value: Any) -> str:
-    value = round(value, 9)
+    value = _round(value)
     if type(value) is float and isfinite(value):
         return float.__repr__(value)
     return _encode(value)
@@ -153,8 +173,8 @@ class TraceSpan:
             "seq": self.seq,
             "kind": self.kind,
             "name": self.name,
-            "t0": round(self.t0, 9),
-            "t1": round(self.t1, 9),
+            "t0": _round(self.t0),
+            "t1": _round(self.t1),
             "attrs": _clean_attrs(self.attrs),
         }
 
@@ -230,8 +250,10 @@ class TraceLog:
     def read_jsonl(path: str) -> List[TraceSpan]:
         """Load spans written by :meth:`write_jsonl`.
 
-        A line that is not a span (not JSON, not an object, or missing a
-        field) raises :class:`ValueError` naming the path and line number.
+        A line that is not a span (not JSON, not an object, missing a
+        field, or a field that does not convert, such as an infinite
+        ``seq``) raises :class:`ValueError` naming the path and line
+        number.
         """
         spans: List[TraceSpan] = []
         with open(path, "r", encoding="utf-8") as handle:
@@ -253,7 +275,7 @@ class TraceLog:
                     raise ValueError(
                         f"{path}:{number}: span has no {exc.args[0]!r} field"
                     ) from None
-                except (TypeError, ValueError) as exc:
+                except (OverflowError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"{path}:{number}: not a trace span ({exc})"
                     ) from None

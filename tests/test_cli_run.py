@@ -194,8 +194,10 @@ class TestBadInput:
          " line 1 column 1 (char 0))"),
         (GOOD_SPAN[:-1] + ', "attrs": null}',
          "not a trace span ('NoneType' object is not iterable)"),
+        ('{"seq": 1e400, "kind": "k", "name": "s", "t0": 0.0, "t1": 1.0}',
+         "not a trace span (cannot convert float infinity to integer)"),
     ], ids=["not-json", "no-kind", "not-an-object", "extra-data",
-            "two-objects", "bom", "attrs-null"])
+            "two-objects", "bom", "attrs-null", "seq-inf"])
     def test_bad_trace_line_is_rc2_naming_the_line(
         self, line, problem, workdir, capsys
     ):

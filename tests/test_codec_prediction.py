@@ -5,6 +5,7 @@ import pytest
 
 from repro.codec.prediction import (
     MotionVector,
+    _motion_search_reference,
     best_inter,
     best_intra,
     intra_predict,
@@ -139,6 +140,21 @@ class TestMotionSearch:
             predicted_mv=MotionVector(dx=10.0, dy=10.0),
         )
         assert sad == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("half_pel", [False, True])
+    def test_reference_one_block_in_size(self, half_pel):
+        """One candidate whose window is already contiguous: the batched
+        search scores its own copy (the window view is read-only) and
+        equals the scalar walk."""
+        reference, source = _plane(8, 8, seed=7), _plane(8, 8, seed=8)
+        mv, prediction, sad = motion_search(
+            source, reference, 0, 0, 8, search_range=8, half_pel=half_pel
+        )
+        want_mv, want_prediction, want_sad = _motion_search_reference(
+            source, reference, 0, 0, 8, search_range=8, half_pel=half_pel
+        )
+        assert (mv, sad) == (want_mv, want_sad)
+        assert np.array_equal(prediction, want_prediction)
 
 
 class TestBestInter:
