@@ -1,22 +1,26 @@
 """Perf-regression benchmarks for the batched hot paths.
 
 Each benchmark measures a fast path against its bit-identical reference
-implementation and asserts the speedup floor the PR claims -- so a later
-change that quietly reverts the batching shows up as a red benchmark,
-not a slow fleet.  ``repro-bench perf`` is the CLI face of the same
-measurements (it writes ``BENCH_PR8.json``); these tests are the
-pytest-native face with assertions.
+implementation (the oracles in ``tests/oracles``) and asserts the
+speedup floor the change that introduced it claimed -- so a later change
+that quietly reverts the batching shows up as a red benchmark, not a
+slow fleet.  Both sides run in the same process on the same machine, so
+each floor is a ratio rather than a hardware lottery.  End-to-end
+numbers come from the benchmark suite, ``python3 bench/run.py``.
 
 Run with ``pytest benchmarks/perf --benchmark-only``.
 """
 
 from __future__ import annotations
 
+import time
+from functools import partial
+from typing import Callable, List
+
 import numpy as np
 import pytest
 
-from repro import perfbench
-from repro.sim import engine, reference
+from repro.sim import engine
 from repro.cluster.scheduler import BinPackingScheduler
 from repro.cluster.worker import VcuWorker
 from repro.codec.encoder import Encoder
@@ -24,13 +28,106 @@ from repro.codec.kernels import batch_transform_rd
 from repro.codec.profiles import PROFILES_BY_NAME
 from repro.codec.transform import transform_rd
 from repro.sim.engine import Simulator
+from repro.sim.rng import make_rng
 from repro.vcu.chip import Vcu
 from repro.vcu.spec import DEFAULT_VCU_SPEC
 from repro.video.frame import Frame, Resolution
+from tests.oracles import engine as reference
+from tests.oracles.codec import ReferenceEncoder
+from tests.oracles.scheduler import place_scan
 
 
-def _encode(frames, nominal, profile, fast):
-    encoder = Encoder(profile, keyframe_interval=150, fast=fast)
+def _best_of(repeats: int, fn: Callable[[], None]) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()  # lint: allow=determinism -- wall-clock harness
+        fn()
+        best = min(best, time.perf_counter() - t0)  # lint: allow=determinism -- wall-clock harness
+    return best
+
+
+def _synthetic_frames(
+    height: int, width: int, count: int, seed: int = 11
+) -> List[np.ndarray]:
+    """Smoothed noise with per-frame global motion -- textured enough to
+    exercise every mode decision, moving enough to exercise the search."""
+    rng = make_rng(seed)
+    base = rng.uniform(0, 255, (height + 8 * count, width + 8 * count))
+    for _ in range(2):
+        base = (
+            base
+            + np.roll(base, 1, 0) + np.roll(base, 1, 1)
+            + np.roll(base, -1, 0) + np.roll(base, -1, 1)
+        ) / 5.0
+    frames = []
+    for i in range(count):
+        oy, ox = 2 * i, 3 * i
+        data = base[oy : oy + height, ox : ox + width] + rng.normal(
+            0.0, 2.0, (height, width)
+        )
+        frames.append(np.clip(data, 0, 255).astype(np.float32))
+    return frames
+
+
+def _scheduler_stream(
+    scheduler, place: Callable, placements: int, seed: int = 3
+) -> int:
+    """Drive ``placements`` placement attempts with interleaved releases.
+
+    Requests vary in shape; ~8 in-flight steps per worker keep the fleet
+    near saturation, which is where the linear scan hurts the most (every
+    placement probes many full workers).  Returns accepted placements.
+    """
+    rng = make_rng(seed)
+    shapes = [
+        {"millidecode": 250.0, "milliencode": 1200.0, "dram_bytes": 40e6},
+        {"millidecode": 500.0, "milliencode": 3750.0, "dram_bytes": 160e6},
+        {"millidecode": 120.0, "milliencode": 600.0, "dram_bytes": 20e6},
+        {"millidecode": 1000.0, "milliencode": 7500.0, "dram_bytes": 330e6},
+    ]
+    choices = rng.integers(0, len(shapes), size=placements)
+    in_flight: List = []
+    accepted = 0
+    for i in range(placements):
+        request = shapes[choices[i]]
+        worker = place(request)
+        if worker is not None:
+            accepted += 1
+            in_flight.append((worker, request))
+        else:
+            # Fleet full: drain the oldest half before continuing.
+            drain = max(1, len(in_flight) // 2)
+            for worker, request in in_flight[:drain]:
+                scheduler.release(worker, request)
+            del in_flight[:drain]
+    for worker, request in in_flight:
+        scheduler.release(worker, request)
+    return accepted
+
+
+def _engine_run(module, scattered: bool, per_process: int) -> None:
+    """100 tickers on ``module``'s Simulator; aligned or scattered clocks.
+
+    Aligned tickers share every timestamp (100-deep calendar buckets, the
+    batched-dispatch best case); scattered tickers use coprime-ish
+    periods so almost every event sits alone at its timestamp (the
+    bucketing worst case -- the calendar must still win on heap traffic
+    alone).
+    """
+    sim = module.Simulator()
+
+    def ticker(delay: float) -> object:
+        for _ in range(per_process):
+            yield delay
+
+    for i in range(100):
+        delay = 0.001 + i * 0.0001937 if scattered else 0.001
+        sim.process(ticker(delay), name=f"ticker{i}")
+    sim.run()
+
+
+def _encode(frames, nominal, profile, encoder_class):
+    encoder = encoder_class(profile, keyframe_interval=150)
     for i, data in enumerate(frames):
         encoder.encode_frame(Frame(data, nominal, i), 30.0)
 
@@ -39,23 +136,23 @@ class TestEncodeHotPath:
     @pytest.mark.parametrize("name", ["libx264", "vcu-vp9"])
     def test_batched_encode_beats_reference(self, benchmark, name):
         height, width, count = 64, 96, 2
-        frames = perfbench._synthetic_frames(height, width, count)
+        frames = _synthetic_frames(height, width, count)
         nominal = Resolution(
             pixels=width * height, width=width, height=height, name="bench"
         )
         profile = PROFILES_BY_NAME[name]
-        fast_s = perfbench._best_of(
-            2, lambda: _encode(frames, nominal, profile, True)
+        fast_s = _best_of(
+            2, lambda: _encode(frames, nominal, profile, Encoder)
         )
-        reference_s = perfbench._best_of(
-            2, lambda: _encode(frames, nominal, profile, False)
+        reference_s = _best_of(
+            2, lambda: _encode(frames, nominal, profile, ReferenceEncoder)
         )
         benchmark.pedantic(
-            lambda: _encode(frames, nominal, profile, True),
+            lambda: _encode(frames, nominal, profile, Encoder),
             rounds=1, iterations=1, warmup_rounds=0,
         )
-        # Loose floor for the tiny CI workload; the full harness
-        # (repro-bench perf) demonstrates >= 3x at benchmark size.
+        # Loose floor for this tiny workload; at 160x96 x 4 frames the
+        # batched encoder measured 3.4x in aggregate (README, Performance).
         assert reference_s / fast_s > 2.0
 
 
@@ -67,11 +164,11 @@ class TestSchedulerHotPath:
                 for i in range(80)
             ]
             scheduler = BinPackingScheduler(workers)
-            place = scheduler.place if indexed else scheduler.place_scan
-            perfbench._scheduler_stream(scheduler, place, 3000)
+            place = scheduler.place if indexed else partial(place_scan, scheduler)
+            _scheduler_stream(scheduler, place, 3000)
 
-        fast_s = perfbench._best_of(2, lambda: run(True))
-        reference_s = perfbench._best_of(2, lambda: run(False))
+        fast_s = _best_of(2, lambda: run(True))
+        reference_s = _best_of(2, lambda: run(False))
         benchmark.pedantic(
             lambda: run(True), rounds=1, iterations=1, warmup_rounds=0
         )
@@ -91,7 +188,7 @@ class TestEngineHotPath:
                 sim.process(ticker(), name=f"t{i}")
             sim.run()
 
-        seconds = perfbench._best_of(2, run)
+        seconds = _best_of(2, run)
         benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
         # 10k tie-heavy events; the calendar loop sustains well over 1M
         # events/s (the old heapq floor here was 100k).
@@ -107,27 +204,27 @@ class TestCalendarEngineFloor:
     """
 
     def test_aligned_speedup_floor(self, benchmark):
-        fast_s = perfbench._best_of(
-            3, lambda: perfbench._engine_run(engine, False, 200)
+        fast_s = _best_of(
+            3, lambda: _engine_run(engine, False, 200)
         )
-        reference_s = perfbench._best_of(
-            3, lambda: perfbench._engine_run(reference, False, 200)
+        reference_s = _best_of(
+            3, lambda: _engine_run(reference, False, 200)
         )
         benchmark.pedantic(
-            lambda: perfbench._engine_run(engine, False, 200),
+            lambda: _engine_run(engine, False, 200),
             rounds=1, iterations=1, warmup_rounds=0,
         )
         assert reference_s / fast_s > 3.0
 
     def test_scattered_speedup_floor(self, benchmark):
-        fast_s = perfbench._best_of(
-            3, lambda: perfbench._engine_run(engine, True, 200)
+        fast_s = _best_of(
+            3, lambda: _engine_run(engine, True, 200)
         )
-        reference_s = perfbench._best_of(
-            3, lambda: perfbench._engine_run(reference, True, 200)
+        reference_s = _best_of(
+            3, lambda: _engine_run(reference, True, 200)
         )
         benchmark.pedantic(
-            lambda: perfbench._engine_run(engine, True, 200),
+            lambda: _engine_run(engine, True, 200),
             rounds=1, iterations=1, warmup_rounds=0,
         )
         # Even with no ties to batch, the two-tier calendar must beat
@@ -139,8 +236,8 @@ class TestKernelHotPath:
     def test_batched_transform_beats_loop(self, benchmark):
         rng = np.random.default_rng(5)
         stack = rng.uniform(-128, 128, (256, 8, 8))
-        fast_s = perfbench._best_of(3, lambda: batch_transform_rd(stack, 30.0))
-        reference_s = perfbench._best_of(
+        fast_s = _best_of(3, lambda: batch_transform_rd(stack, 30.0))
+        reference_s = _best_of(
             3, lambda: [transform_rd(block, 30.0) for block in stack]
         )
         benchmark.pedantic(

@@ -165,11 +165,6 @@ def default_rules() -> List[Rule]:
     return [cls() for cls in _REGISTRY.values()]
 
 
-def rule_ids() -> List[str]:
-    _ensure_registered()
-    return list(_REGISTRY)
-
-
 # --------------------------------------------------------------------- #
 # Name resolution helpers
 

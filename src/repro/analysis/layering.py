@@ -75,9 +75,6 @@ ALLOWED_DEPS: Dict[str, FrozenSet[str]] = {
             "video",
         }
     ),
-    "perfbench": frozenset(
-        {"cluster", "codec", "failures", "runner", "sim", "transcode", "vcu", "video"}
-    ),
     "cli": frozenset(
         {
             "analysis",
@@ -88,7 +85,6 @@ ALLOWED_DEPS: Dict[str, FrozenSet[str]] = {
             "harness",
             "metrics",
             "obs",
-            "perfbench",
             "runner",
             "tco",
             "vcu",

@@ -63,13 +63,15 @@ class DeterminismRule(Rule):
     constructor site.  Tests and benchmarks may build their own seeded
     generators (their determinism is local to the test), but wall-clock
     reads and the stdlib ``random`` module stay banned everywhere --
-    wall-clock timing belongs to ``perfbench.py``, behind a pragma.
+    wall-clock timing belongs to the speedup floors in
+    ``benchmarks/perf`` and the runner's own run metrics, behind a
+    pragma.
     """
 
     id = "determinism"
     summary = (
         "randomness must flow through repro.sim.rng generators; "
-        "no wall-clock reads outside the pragma'd perf harness"
+        "no wall-clock reads outside pragma'd timing harnesses"
     )
     exclude = ("src/repro/sim/rng.py",)
 
@@ -692,7 +694,6 @@ class CapacityThroughSchedulerRule(Rule):
         "src/repro/control/*",
         "src/repro/failures/*",
         "src/repro/vcu/*",
-        "src/repro/perfbench.py",
     )
     exclude = (
         "src/repro/cluster/scheduler.py",

@@ -21,10 +21,6 @@ _VBENCH_THROUGHPUT_MPIX_S: Dict[str, float] = {"h264": 714.0, "vp9": 154.0}
 #: Slowdown exponents: rate(res) = rate_1080p * (pixels/1080p)^-alpha.
 _RESOLUTION_EXPONENT: Dict[str, float] = {"h264": 0.30, "vp9": 1.08}
 
-#: Active power draw (idle subtracted) under full encoding load; VP9's
-#: vector-heavy search pushes the package harder than x264.
-_ACTIVE_WATTS: Dict[str, float] = {"h264": 360.0, "vp9": 620.0}
-
 
 @dataclass(frozen=True)
 class SkylakeSystem:
@@ -37,7 +33,6 @@ class SkylakeSystem:
     resolution_exponent: Dict[str, float] = field(
         default_factory=lambda: dict(_RESOLUTION_EXPONENT)
     )
-    active_watts: Dict[str, float] = field(default_factory=lambda: dict(_ACTIVE_WATTS))
 
     def machine_throughput(self, codec: str, res: Resolution = None) -> float:
         """Offline two-pass SOT throughput in Mpix/s at a resolution.
@@ -76,9 +71,6 @@ class SkylakeSystem:
             raise ValueError("cores must be >= 1")
         core_seconds = self.encode_core_seconds(codec, res, frames)
         return core_seconds / (cores * 0.75)
-
-    def power_watts(self, codec: str) -> float:
-        return self.active_watts[codec]
 
     def vp9_h264_cost_ratio(self) -> float:
         """How much more expensive VP9 software encoding is (paper: 6-8x

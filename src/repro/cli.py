@@ -12,9 +12,12 @@ Commands:
     live        Section 4.5 live-latency comparison
     gaming      Section 4.5 Stadia frame-budget check
     report      render a fleet report from a JSONL trace dump
-    perf        hot-path perf harness (fast vs reference paths)
     run         sharded deterministic experiment runner (repro.runner)
     lint        simulation-safety static analyzer (repro.analysis)
+
+Wall-clock measurement lives outside the package: ``pytest
+benchmarks/perf`` holds the hot paths to their speedup floors, and
+``python3 bench/run.py`` times the benchmark workloads end to end.
 
 Heavy imports happen inside each command handler, so ``report`` and
 ``lint`` (pure Python) run without pulling in the numeric stack.
@@ -63,8 +66,11 @@ def _directory(text: str) -> str:
 
 
 def _output_file(text: str) -> str:
-    """A file to write at the end of a run: its directory must exist now,
-    not after the run has been paid for."""
+    """A file to write at the end of a run: the path must name a file,
+    not a directory, and its directory must exist now, not after the run
+    has been paid for."""
+    if not text or text.endswith(("/", os.sep)) or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
     directory = os.path.dirname(os.path.abspath(text))
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(
@@ -148,15 +154,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro import perfbench
-
-    report = perfbench.write_report(args.out, smoke=args.smoke)
-    print(perfbench.render(report))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import (
         DEFAULT_MANIFEST_NAME,
@@ -214,22 +211,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _changed_python_targets(root: object, base: str) -> Optional[List[str]]:
     """Changed ``.py`` paths (vs ``base``) that fall under the lint targets.
 
-    Returns None when git is unavailable or the diff fails -- the caller
-    falls back to a full run rather than silently linting nothing.
+    Returns None when git is unavailable or ``root`` is not a checkout --
+    the caller falls back to a full run rather than silently linting
+    nothing.  Raises ``ValueError`` when a checkout cannot diff against
+    ``base`` (a ref git cannot resolve): linting everything instead
+    would pass off a typo as a clean run.
     """
     import subprocess
 
     from repro.analysis.core import DEFAULT_TARGETS
 
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            cwd=root, capture_output=True, text=True, timeout=30,
+    def git(*argv: str) -> "subprocess.CompletedProcess[str]":
+        return subprocess.run(
+            ["git", *argv], cwd=root, capture_output=True, text=True, timeout=30,
         )
+
+    try:
+        proc = git("diff", "--name-only", base, "--")
+        if proc.returncode != 0 and git(
+            "rev-parse", "--is-inside-work-tree"
+        ).returncode != 0:
+            return None
     except (OSError, subprocess.TimeoutExpired):
         return None
     if proc.returncode != 0:
-        return None
+        reason = (proc.stderr.strip().splitlines() or ["git diff failed"])[0]
+        raise ValueError(
+            f"cannot diff against --base {base!r}: {reason.removeprefix('fatal: ')}"
+        )
     changed: List[str] = []
     for line in proc.stdout.splitlines():
         path = line.strip()
@@ -280,7 +289,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     targets = args.paths or None
     if args.changed_only:
-        changed = _changed_python_targets(root, args.base)
+        try:
+            changed = _changed_python_targets(root, args.base)
+        except ValueError as exc:
+            print(f"lint: {exc}", file=sys.stderr)
+            return 2
         if changed is None:
             print("lint: --changed-only needs a git checkout; "
                   "linting everything", file=sys.stderr)
@@ -337,15 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--timeline", type=_count, default=30,
                         help="max health-timeline rows to show")
     report.set_defaults(func=_cmd_report)
-
-    perf = sub.add_parser(
-        "perf", help="hot-path perf harness (fast vs reference paths)"
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="small workload for CI regression signal")
-    perf.add_argument("--out", type=_output_file, default="BENCH_PR8.json",
-                      help="where to write the JSON report")
-    perf.set_defaults(func=_cmd_perf)
 
     run = sub.add_parser(
         "run",

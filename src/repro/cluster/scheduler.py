@@ -25,8 +25,8 @@ admission and release the scheduler makes, and
 :meth:`BinPackingScheduler.release` is the only way capacity comes back
 (the ``capacity-through-scheduler`` lint rule enforces that statically).
 Placements are therefore identical to the pre-index linear scan
-(preserved as :meth:`BinPackingScheduler.place_scan` for the equivalence
-suite and the perf harness).
+(``tests/oracles/scheduler.py`` keeps it as ``place_scan`` for the
+equivalence suite and the perf floors).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro import obs
 
@@ -83,23 +81,6 @@ class SchedulerProtocol(Protocol):  # pragma: no cover
     ) -> Optional[PlaceableWorker]: ...
 
 
-def _ordered_workers(
-    workers: Sequence[PlaceableWorker], preference: Optional[Sequence[str]]
-) -> Sequence[PlaceableWorker]:
-    """Probe order: the caller's preferred names first, then the rest.
-
-    ``preference`` is how consistent-hash chunk affinity plugs into
-    placement (Section 4.4's blast-radius enhancement) without the
-    scheduler knowing anything about videos.
-    """
-    if not preference:
-        return workers
-    by_name = {w.name: w for w in workers}
-    preferred = [by_name[name] for name in preference if name in by_name]
-    chosen = set(preference)
-    return preferred + [w for w in workers if w.name not in chosen]
-
-
 #: The change log holds at most this many entries per row, plus
 #: ``_LOG_SLACK``, before :class:`BinPackingScheduler` clears it and
 #: drops every shape's fit bits (each shape rebuilds on its next use).
@@ -117,22 +98,23 @@ class BinPackingScheduler:
     ``MultiResource.fits``).  Rows are exact after every admit and
     release the scheduler makes, and :meth:`release` is the only way
     capacity comes back, so a row is never *pessimistic* and a fruitless
-    pass is a real rejection.  Rows may turn *optimistic* --
-    :meth:`place_scan` admits without touching them -- and that is
+    pass is a real rejection.  Rows may turn *optimistic* -- an admission
+    made around the scheduler leaves them untouched -- and that is
     tolerated: ``try_admit`` rejects and the scan continues, which is
     exactly what the linear scan did.
 
     Each request shape keeps a ``bytearray`` of fit bits over the rows
     and the change-log position those bits reflect.  Rows change only in
-    :meth:`_refresh_row`, which logs the row, so a shape's bits equal
-    :meth:`_fit_mask` once it re-tests the rows logged since its last
-    use.
+    :meth:`_refresh_row`, which logs the row, so a shape's bits equal a
+    whole-fleet fit mask over the rows (``fit_mask`` in
+    ``tests/oracles/scheduler.py``) once it re-tests the rows logged
+    since its last use.
     """
 
     def __init__(self, workers: Sequence[PlaceableWorker]):
         self._workers: List[PlaceableWorker] = list(workers)
-        # Maintained incrementally on add/remove -- the pre-index code
-        # rebuilt a name->worker dict on every placement.
+        # Built once -- the pre-index code rebuilt a name->worker dict
+        # on every placement.
         self._by_name: Dict[str, int] = {
             w.name: i for i, w in enumerate(self._workers)
         }
@@ -154,25 +136,6 @@ class BinPackingScheduler:
     @property
     def workers(self) -> List[PlaceableWorker]:
         return list(self._workers)
-
-    def add_worker(self, worker: PlaceableWorker) -> None:
-        self._workers.append(worker)
-        self._by_name[worker.name] = len(self._workers) - 1
-        resources = getattr(worker, "resources", None)
-        if resources is not None and any(
-            dim not in self._dim_index for dim in resources.capacity
-        ):
-            self._rebuild_index()
-            return
-        self._avail.append([])
-        self._unindexed.append(resources is None)
-        self._forget_shapes()
-        self._refresh_row(len(self._workers) - 1)
-
-    def remove_worker(self, worker: PlaceableWorker) -> None:
-        self._workers.remove(worker)
-        self._by_name = {w.name: i for i, w in enumerate(self._workers)}
-        self._rebuild_index()
 
     # ------------------------------------------------------------------ #
     # Availability index
@@ -226,32 +189,13 @@ class BinPackingScheduler:
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
-    def _fit_mask(self, request: Dict[str, float]) -> np.ndarray:
-        """Elementwise replica of ``MultiResource.fits`` over every row,
-        vectorized: the reference every shape's fit bits equal."""
-        avail = np.array(self._avail, dtype=np.float64).reshape(
-            len(self._avail), len(self._dims)
-        )
-        mask = np.ones(len(avail), dtype=bool)
-        for dim, amount in request.items():
-            if amount <= 0:
-                continue
-            j = self._dim_index.get(dim)
-            if j is None:
-                # Dimension no indexed worker has: only resource-less
-                # workers can fit it (their try_admit decides).
-                mask &= np.array(self._unindexed, dtype=bool)
-                continue
-            epsilon = max(1e-9, 1e-9 * abs(amount))
-            mask &= avail[:, j] + epsilon >= amount
-        return mask
-
     def _fit_bits(self, request: Dict[str, float]) -> bytearray:
         """The request shape's fit bit per row, caught up with the log.
 
         A shape re-tests the rows logged since its last use, or every
-        row when more entries are pending than there are rows.  The
-        tests are :meth:`_fit_mask`'s, one row at a time.
+        row when more entries are pending than there are rows.  Each
+        row's tests are ``MultiResource.fits``'s: same epsilon, same
+        missing-dimension rule.
         """
         key = tuple(request.items())
         shape = self._shapes.get(key)
@@ -358,31 +302,6 @@ class BinPackingScheduler:
                 self._refresh_row(index)
                 return worker
             index = bits.find(1, index + 1)
-        return None
-
-    def place_scan(
-        self,
-        request: Dict[str, float],
-        excluded: Set[str] = frozenset(),
-        preference: Optional[Sequence[str]] = None,
-    ) -> Optional[PlaceableWorker]:
-        """Pre-index linear scan (parity/benchmark reference).
-
-        Identical placement semantics to :meth:`place`; kept so the
-        equivalence suite can replay one placement stream through both
-        and the perf harness can measure the index's win.  Admissions it
-        performs leave the index optimistic, which :meth:`place`
-        tolerates by construction.
-        """
-        for worker in _ordered_workers(self._workers, preference):
-            if worker.name in excluded or not worker.available():
-                continue
-            if worker.try_admit(request):
-                self.placements += 1
-                _emit_placement("bin_packing", worker, excluded, preference)
-                return worker
-        self.rejections += 1
-        _emit_placement("bin_packing", None, excluded, preference)
         return None
 
     def release(

@@ -19,7 +19,7 @@ from repro.codec.kernels import batch_dequantize, batch_inverse_dct
 from repro.codec.prediction import intra_predict, sample_block
 from repro.codec.profiles import EncoderProfile
 from repro.codec.temporal_filter import build_altref
-from repro.codec.transform import dequantize, inverse_dct, qp_to_step
+from repro.codec.transform import qp_to_step
 
 _MAX_DPB = 3
 
@@ -27,20 +27,19 @@ _MAX_DPB = 3
 class Decoder:
     """A stateful decoder for one stream encoded with ``profile``.
 
-    With ``fast`` (the default) every frame's coded residuals are
-    dequantized and inverse-transformed up front as one batched kernel
-    pass per block size, then the per-record replay only applies
-    prediction.  Unlike the encoder -- where intra prediction reads the
-    reconstruction of earlier blocks, forcing block-serial transforms --
-    a decoded frame's residuals depend only on the bitstream, so the
-    whole-frame pass is legal and bit-exact (the round-trip tests pin
-    both paths to the encoder recon).
+    Every frame's coded residuals are dequantized and inverse-transformed
+    up front as one batched kernel pass per block size, then the
+    per-record replay only applies prediction.  Unlike the encoder --
+    where intra prediction reads the reconstruction of earlier blocks,
+    forcing block-serial transforms -- a decoded frame's residuals depend
+    only on the bitstream, so the whole-frame pass is legal and bit-exact
+    (the round-trip tests pin every profile's decode to the encoder
+    recon).
     """
 
-    def __init__(self, profile: EncoderProfile, proxy_shape: tuple, fast: bool = True):
+    def __init__(self, profile: EncoderProfile, proxy_shape: tuple):
         self.profile = profile
         self.proxy_shape = tuple(proxy_shape)
-        self.fast = fast
         self._dpb: List[np.ndarray] = []
         self._altref: Optional[np.ndarray] = None
         self._frame_index = 0
@@ -54,7 +53,7 @@ class Decoder:
     def decode_frame(self, frame: EncodedFrame) -> np.ndarray:
         recon = np.zeros(self.proxy_shape, dtype=np.float64)
         references = [] if frame.frame_type == "key" else self.references()
-        residuals = self._batched_residuals(frame) if self.fast else None
+        residuals = self._batched_residuals(frame)
         for record in frame.records:
             self._decode_block(record, recon, references, frame.qp, residuals)
         self._push_reference(recon)
@@ -106,7 +105,7 @@ class Decoder:
         recon: np.ndarray,
         references: Sequence[np.ndarray],
         qp: float,
-        residuals: Optional[Dict[int, np.ndarray]] = None,
+        residuals: Dict[int, np.ndarray],
     ) -> None:
         if record.mode == "split":
             for sub in record.split or []:
@@ -135,20 +134,14 @@ class Decoder:
         else:
             raise ValueError(f"unknown block mode {record.mode!r}")
 
-        if residuals is not None:
-            residual = residuals[id(record)]
-        else:
-            residual = inverse_dct(dequantize(record.levels, qp))
         recon[y : y + size, x : x + size] = np.clip(
-            prediction + residual, 0.0, 255.0
+            prediction + residuals[id(record)], 0.0, 255.0
         )
 
 
-def decode_chunk(
-    chunk: EncodedChunk, profile: EncoderProfile, fast: bool = True
-) -> List[np.ndarray]:
+def decode_chunk(chunk: EncodedChunk, profile: EncoderProfile) -> List[np.ndarray]:
     """Decode every frame of a chunk; returns the reconstruction planes."""
     if not chunk.frames:
         return []
-    decoder = Decoder(profile, chunk.frames[0].recon.shape, fast=fast)
+    decoder = Decoder(profile, chunk.frames[0].recon.shape)
     return [decoder.decode_frame(frame) for frame in chunk.frames]

@@ -28,17 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.codec import entropy
-from repro.codec.prediction import (
-    MotionVector,
-    SearchPlanes,
-    _best_inter_reference,
-    _best_intra_reference,
-    best_inter,
-    best_intra,
-)
+from repro.codec.prediction import MotionVector, SearchPlanes, best_inter, best_intra
 from repro.codec.profiles import EncoderProfile
 from repro.codec.temporal_filter import build_altref
-from repro.codec.transform import qp_to_lambda, transform_rd, transform_rd_single
+from repro.codec.transform import qp_to_lambda, transform_rd_single
 from repro.video.frame import Frame, RawVideo, sequence_psnr
 
 #: References kept in the DPB (sliding window), before the altref slot.
@@ -138,30 +131,23 @@ class EncodedChunk:
 class Encoder:
     """A stateful encoder for one stream (one profile, one resolution).
 
-    ``fast`` selects between the batched hot path (default) and the
-    pre-batching scalar reference implementations of motion search, intra
-    selection, and entropy costing.  Both paths produce bit-identical
-    output -- the reference path exists so the parity suite and the
-    perf-regression harness can prove and measure that claim.
+    Four kernels do the per-block arithmetic: intra selection, inter
+    search, the transform/quantize/reconstruct step and the entropy bit
+    count.  Each instance binds them from this module's names when it is
+    built, so a tracer that rebinds those names sees every call.  The
+    parity suite's ``ReferenceEncoder`` (``tests/oracles/codec.py``)
+    binds the scalar walks instead and must emit the same bitstream.
     """
 
-    def __init__(
-        self,
-        profile: EncoderProfile,
-        keyframe_interval: int = 150,
-        fast: bool = True,
-    ):
+    def __init__(self, profile: EncoderProfile, keyframe_interval: int = 150):
         if keyframe_interval < 1:
             raise ValueError("keyframe_interval must be >= 1")
         self.profile = profile
         self.keyframe_interval = keyframe_interval
-        self.fast = fast
-        self._best_intra = best_intra if fast else _best_intra_reference
-        self._best_inter = best_inter if fast else _best_inter_reference
-        self._block_bits = (
-            entropy.block_bits if fast else entropy._block_bits_reference
-        )
-        self._transform_rd = transform_rd_single if fast else transform_rd
+        self._best_intra = best_intra
+        self._best_inter = best_inter
+        self._block_bits = entropy.block_bits
+        self._transform_rd = transform_rd_single
         self._dpb: List[np.ndarray] = []  # decoded picture buffer, newest first
         self._altref: Optional[np.ndarray] = None
         self._frame_index = 0
@@ -186,11 +172,7 @@ class Encoder:
         references = [] if is_key else self.references()
         # One SearchPlanes per reference per frame: every block shares the
         # sliding-window gathers and lazily-built half-pel planes.
-        planes = (
-            [SearchPlanes(reference) for reference in references]
-            if self.fast and references
-            else None
-        )
+        planes = [SearchPlanes(reference) for reference in references]
         lam = qp_to_lambda(qp)
 
         records: List[BlockRecord] = []
@@ -408,10 +390,9 @@ def encode_video(
     profile: EncoderProfile,
     qp: float,
     keyframe_interval: int = 150,
-    fast: bool = True,
 ) -> EncodedChunk:
     """Encode a whole video at a fixed QP (the RD-curve sweep primitive)."""
-    encoder = Encoder(profile, keyframe_interval=keyframe_interval, fast=fast)
+    encoder = Encoder(profile, keyframe_interval=keyframe_interval)
     encoded = [encoder.encode_frame(frame, qp) for frame in video.frames]
     recon_frames = [
         Frame(e.recon.astype(np.float32), video.nominal, e.index) for e in encoded

@@ -73,33 +73,13 @@ _GOLOMB_LUT[1:] = 2.0 * np.floor(
 _GOLOMB_LUT.flags.writeable = False
 
 
-def _block_bits_reference(levels: np.ndarray, entropy_efficiency: float = 1.0) -> float:
-    """Pre-batching scalar implementation, kept as the parity/benchmark
-    reference for :func:`block_bits` (identical results, slower)."""
-    if not 0 < entropy_efficiency <= 1.5:
-        raise ValueError(f"implausible entropy efficiency {entropy_efficiency}")
-    magnitudes = np.abs(levels)
-    if not np.any(magnitudes):
-        return SKIP_BITS * entropy_efficiency
-    payload = exp_golomb_bits(levels)
-    # Coefficient position signalling: one significance bit per coefficient
-    # up to the last nonzero in zig-zag scan order (low frequencies first),
-    # approximating zig-zag run coding with an end-of-block token.
-    if levels.ndim == 2 and levels.shape[0] == levels.shape[1]:
-        scanned = magnitudes.ravel()[zigzag_order(levels.shape[0])]
-    else:
-        scanned = magnitudes.ravel()
-    last = int(np.max(np.nonzero(scanned)[0])) + 1
-    significance = float(last)
-    return (payload + significance) * entropy_efficiency
-
-
 def block_bits(levels: np.ndarray, entropy_efficiency: float = 1.0) -> float:
     """Bits to code one quantized block (coefficient payload only).
 
-    Bit-identical to :func:`_block_bits_reference`: code lengths are small
-    integers (exactly representable, order-independent sums) and the final
-    scale by ``entropy_efficiency`` is the same single multiply.
+    Bit-identical to the pre-batching scalar count (``block_bits_reference``
+    in ``tests/oracles/codec.py``): code lengths are small integers
+    (exactly representable, order-independent sums) and the final scale
+    by ``entropy_efficiency`` is the same single multiply.
     """
     if not 0 < entropy_efficiency <= 1.5:
         raise ValueError(f"implausible entropy efficiency {entropy_efficiency}")

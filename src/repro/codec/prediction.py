@@ -12,11 +12,11 @@ Hot-path structure: the public :func:`motion_search` and
 ``np.abs(stack - source).sum(axis=(1, 2))`` per round) over views gathered
 through :class:`SearchPlanes` -- a per-reference cache of sliding-window
 views and precomputed half-pel interpolation planes built lazily once per
-frame.  Both are bit-exact against the pre-batching scalar walk, preserved
-here as ``_motion_search_reference`` / ``_best_intra_reference`` for the
-parity suite and the perf-regression harness: the batched walk replays the
-scalar first-improvement order exactly (a round's remaining candidates
-re-batch around the new centre whenever the centre moves).
+frame.  Both are bit-exact against the pre-batching scalar walks, which
+``tests/oracles/codec.py`` keeps for the parity suite and the perf
+floors: the batched walk replays the scalar first-improvement order
+exactly (a round's remaining candidates re-batch around the new centre
+whenever the centre moves).
 """
 
 from __future__ import annotations
@@ -76,25 +76,6 @@ def intra_predict(
         )
         return np.clip(prediction, 0.0, 255.0)
     raise ValueError(f"unknown intra mode {mode!r}")
-
-
-def _best_intra_reference(
-    source: np.ndarray,
-    recon: np.ndarray,
-    y: int,
-    x: int,
-    size: int,
-    candidate_rounds: int,
-) -> Tuple[str, np.ndarray, float]:
-    """Pre-batching scalar mode loop (parity/benchmark reference)."""
-    modes = INTRA_MODES[: 3 + max(0, candidate_rounds - 1)]
-    best: Tuple[str, np.ndarray, float] = ("dc", None, float("inf"))  # type: ignore
-    for mode in modes:
-        prediction = intra_predict(recon, y, x, size, mode)
-        sad = float(np.sum(np.abs(source - prediction)))
-        if sad < best[2]:
-            best = (mode, prediction, sad)
-    return best
 
 
 def best_intra(
@@ -197,15 +178,14 @@ class SearchPlanes:
     """
 
     __slots__ = (
-        "reference", "_windows", "_half_planes", "_half_windows",
-        "_stacked_half", "_stacked_half_windows",
+        "reference", "_windows", "_half_planes", "_stacked_half",
+        "_stacked_half_windows",
     )
 
     def __init__(self, reference: np.ndarray):
         self.reference = reference
         self._windows: Dict[int, np.ndarray] = {}
         self._half_planes: Dict[Tuple[float, float], np.ndarray] = {}
-        self._half_windows: Dict[Tuple[float, float, int], np.ndarray] = {}
         self._stacked_half: Optional[np.ndarray] = None
         self._stacked_half_windows: Dict[int, np.ndarray] = {}
 
@@ -233,13 +213,6 @@ class SearchPlanes:
             )
             got.flags.writeable = False
             self._half_planes[(fy, fx)] = got
-        return got
-
-    def half_windows(self, fy: float, fx: float, size: int) -> np.ndarray:
-        got = self._half_windows.get((fy, fx, size))
-        if got is None:
-            got = sliding_window_view(self.half_plane(fy, fx), (size, size))
-            self._half_windows[(fy, fx, size)] = got
         return got
 
     def stacked_half_windows(self, size: int) -> np.ndarray:
@@ -309,12 +282,6 @@ _HP_FRAC_T = (
 )
 
 _INF = float("inf")
-
-
-def _sad(source: np.ndarray, candidate: Optional[np.ndarray]) -> float:
-    if candidate is None:
-        return float("inf")
-    return float(np.abs(source - candidate).sum())
 
 
 def motion_search(
@@ -451,7 +418,8 @@ def _half_pel_refine(
     """Score all 8 half-pel offsets around the fixed integer-pel winner.
 
     All offsets apply to the integer-pel centre (not a drifting one --
-    see the drift-bug note on ``_motion_search_reference``), batched per
+    see the drift-bug note on the scalar walk, ``motion_search_reference``
+    in ``tests/oracles/codec.py``), batched per
     interpolation plane.  First-improvement scan order over ``_HALF_PEL``
     is preserved.  Returns ``(mv_y, mv_x, sad, prediction)`` where
     ``prediction`` is the winning half-pel block view, or ``None`` when
@@ -520,77 +488,6 @@ def _half_pel_refine(
     return mv_y, mv_x, best_sad, candidates[winner]
 
 
-def _motion_search_reference(
-    source: np.ndarray,
-    reference: np.ndarray,
-    y: int,
-    x: int,
-    size: int,
-    search_range: int,
-    half_pel: bool,
-    predicted_mv: MotionVector = MotionVector(0.0, 0.0),
-    planes: Optional[SearchPlanes] = None,
-) -> Tuple[MotionVector, np.ndarray, float]:
-    """Pre-batching scalar walk (parity/benchmark reference).
-
-    One behavioural fix is shared with the fast path: the original
-    half-pel loop mutated ``mv_y, mv_x`` mid-iteration, so later
-    ``_HALF_PEL`` offsets were applied to a moving centre instead of the
-    integer-pel winner.  Both paths now evaluate all 8 offsets around the
-    fixed integer-pel centre.  ``planes`` is accepted for signature
-    parity and ignored.
-    """
-    del planes
-    # (0, 0) first, predicted second: with strict-< replacement this is
-    # the tie-break order the batched fast path hard-codes, and a fixed
-    # tuple keeps the walk order independent of hash seeding.
-    predicted = (round(predicted_mv.dy), round(predicted_mv.dx))
-    starts = ((0, 0),) if predicted == (0, 0) else ((0, 0), predicted)
-    best_mv = (0, 0)
-    best_sad = _sad(source, sample_block(reference, y, x, size))
-    for sy, sx in starts:
-        if abs(sy) > search_range or abs(sx) > search_range:
-            continue
-        sad = _sad(source, sample_block(reference, y + sy, x + sx, size))
-        if sad < best_sad:
-            best_sad, best_mv = sad, (sy, sx)
-
-    improved = True
-    while improved:
-        improved = False
-        for dy, dx in _LARGE_DIAMOND:
-            cy, cx = best_mv[0] + dy, best_mv[1] + dx
-            if abs(cy) > search_range or abs(cx) > search_range:
-                continue
-            sad = _sad(source, sample_block(reference, y + cy, x + cx, size))
-            if sad < best_sad:
-                best_sad, best_mv, improved = sad, (cy, cx), True
-    for dy, dx in _SMALL_DIAMOND:
-        cy, cx = best_mv[0] + dy, best_mv[1] + dx
-        if abs(cy) > search_range or abs(cx) > search_range:
-            continue
-        sad = _sad(source, sample_block(reference, y + cy, x + cx, size))
-        if sad < best_sad:
-            best_sad, best_mv = sad, (cy, cx)
-
-    mv_y, mv_x = float(best_mv[0]), float(best_mv[1])
-    if half_pel:
-        base_y, base_x = mv_y, mv_x
-        for dy, dx in _HALF_PEL:
-            sad = _sad(
-                source, sample_block(reference, y + base_y + dy, x + base_x + dx, size)
-            )
-            if sad < best_sad:
-                best_sad, mv_y, mv_x = sad, base_y + dy, base_x + dx
-
-    prediction = sample_block(reference, y + mv_y, x + mv_x, size)
-    if prediction is None:  # pragma: no cover - zero MV is always valid
-        prediction = sample_block(reference, y, x, size)
-        mv_y = mv_x = 0.0
-        best_sad = _sad(source, prediction)
-    return MotionVector(dx=mv_x, dy=mv_y), prediction, best_sad
-
-
 #: Mean absolute error per pixel below which further references are not
 #: searched -- a "good enough" early exit real encoders also take.
 GOOD_ENOUGH_SAD_PER_PIXEL = 1.0
@@ -624,36 +521,6 @@ def best_inter(
         mv, prediction, sad = motion_search(
             source, reference, y, x, size, search_range, half_pel, predicted_mv,
             planes=planes[index] if planes is not None else None,
-        )
-        if sad < best[3]:
-            best = (index, mv, prediction, sad)
-        if best[3] <= good_enough:
-            break
-    return best
-
-
-def _best_inter_reference(
-    source: np.ndarray,
-    references: Sequence[np.ndarray],
-    y: int,
-    x: int,
-    size: int,
-    search_range: int,
-    half_pel: bool,
-    predicted_mv: MotionVector = MotionVector(0.0, 0.0),
-    planes: Optional[Sequence[SearchPlanes]] = None,
-) -> Tuple[int, MotionVector, np.ndarray, float]:
-    """Reference-path counterpart of :func:`best_inter` (scalar search)."""
-    del planes
-    if not references:
-        raise ValueError("best_inter needs at least one reference")
-    good_enough = GOOD_ENOUGH_SAD_PER_PIXEL * size * size
-    best: Tuple[int, MotionVector, np.ndarray, float] = (
-        -1, MotionVector(0.0, 0.0), None, float("inf"),  # type: ignore
-    )
-    for index, reference in enumerate(references):
-        mv, prediction, sad = _motion_search_reference(
-            source, reference, y, x, size, search_range, half_pel, predicted_mv
         )
         if sad < best[3]:
             best = (index, mv, prediction, sad)

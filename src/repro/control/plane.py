@@ -297,11 +297,6 @@ class ControlPlane:
                 job, site, self._on_done
             )
 
-    def _dispatch_all(self) -> None:
-        for site in self.router.sites:  # name-sorted
-            if site.up:
-                self._dispatch(site)
-
     def _on_done(self, job: Job, ok: bool) -> None:
         self._handles.pop(job.job_id, None)
         site = self.router.site(job.site) if job.site is not None else None

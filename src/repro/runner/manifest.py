@@ -27,7 +27,7 @@ DEFAULT_MANIFEST_NAME = "BENCH_PR10.json"
 
 
 def dump_json(path: str, payload: Any) -> None:
-    """Write canonical JSON (shared by the runner and the perf harness)."""
+    """Write ``payload`` to ``path`` as canonical JSON."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(payload))
 

@@ -7,7 +7,8 @@ seconds of virtual time) or an :class:`Event` to wait on.  Determinism
 matters for the reproduction -- two runs with the same seed must produce
 identical schedules -- so events dispatch in ``(when, seq)`` order: time
 order with ties broken by schedule order, exactly the contract of the
-original single-heapq loop (kept verbatim in :mod:`repro.sim.reference`).
+original single-heapq loop (kept verbatim, for the equivalence suite and
+the perf floors, in ``tests/oracles/engine.py``).
 
 The calendar core exists for fleet scale: same-timestamp buckets are
 drained in one batched pass instead of one heap pop per event, and the

@@ -68,15 +68,6 @@ class FirmwareVersion:
         if self.hang_duration_seconds <= 0:
             raise ValueError("hang_duration_seconds must be positive")
 
-    @property
-    def regressive(self) -> bool:
-        """Whether this build is worse than launch on any axis."""
-        return (
-            self.step_overhead_multiplier > 1.0
-            or self.hang_rate_per_hour > 0.0
-            or self.corruption_rate_per_hour > 0.0
-        )
-
 
 #: The launch build every VCU boots with.
 BASELINE_FIRMWARE = FirmwareVersion("fw-1.0.0", notes="launch build")

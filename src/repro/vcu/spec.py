@@ -100,10 +100,6 @@ class VcuSpec:
         """Aggregate realtime encode pixels/s (H.264) across all cores."""
         return self.encoder_cores * self.encode_pixel_rate["h264"]
 
-    @property
-    def total_decode_rate(self) -> float:
-        return self.decoder_cores * self.decode_pixel_rate
-
 
 @dataclass(frozen=True)
 class HostSpec:
@@ -127,10 +123,6 @@ class HostSpec:
     @property
     def vcus_per_host(self) -> int:
         return self.vcus_per_card * self.cards_per_tray * self.trays_per_host
-
-    @property
-    def network_bandwidth_bytes(self) -> float:
-        return self.network_bandwidth_bits / 8
 
 
 DEFAULT_VCU_SPEC = VcuSpec()

@@ -7,9 +7,9 @@ tuple dispatch.  Two things depend on it staying bit-for-bit faithful:
 * the equivalence suite (``tests/test_sim_calendar.py``) replays random
   schedules through both engines and asserts identical dispatch order,
   clocks, and results; and
-* the perf floors (``benchmarks/perf``, ``repro-bench perf``) measure the
-  calendar engine's speedup *relative to this implementation* on the same
-  interpreter and machine, which is robust where absolute events/s is not.
+* the perf floors (``benchmarks/perf``) measure the calendar engine's
+  speedup *relative to this implementation* on the same interpreter and
+  machine, which is robust where absolute events/s is not.
 
 Do not optimize this module; its value is that it does not change.
 """

@@ -769,3 +769,31 @@ class TestChangedOnlyCli:
         ])
         assert rc == 0
         assert "no python files changed" in capsys.readouterr().out
+
+    def test_unresolvable_base_is_rc2_naming_the_ref(self, tmp_path, capsys):
+        """A checkout that cannot resolve ``--base`` is a usage error, not
+        a silent full lint that exits 0."""
+        self._repo(tmp_path)
+        rc = main([
+            "lint", "--root", str(tmp_path), "--changed-only",
+            "--base", "no-such-ref",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(
+            "lint: cannot diff against --base 'no-such-ref': "
+        )
+        assert "linting everything" not in captured.err
+        assert captured.out == ""  # nothing was linted
+
+    def test_root_outside_a_checkout_lints_everything(self, tmp_path, capsys):
+        """Without a checkout there is nothing to diff: the per-file
+        rules run on every file, and the run says so."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "steady.py").write_text("import random\n")
+        rc = main(["lint", "--root", str(tmp_path), "--changed-only"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "linting everything" in captured.err
+        assert "steady.py" in captured.out

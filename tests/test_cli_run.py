@@ -1,9 +1,9 @@
-"""CLI exit-code and end-to-end coverage for ``run``, ``perf``, ``report``.
+"""CLI exit-code and end-to-end coverage for ``run`` and ``report``.
 
 Every handler must return its own rc (``main`` forwards it), the ``run``
 subcommand must produce a parseable manifest plus a warm-cache second
 invocation and write the committed manifest's name only for a full run,
-and the historical perf/report paths keep their contracts.
+and the report path keeps its contract.
 Out-of-range arguments are usage errors (rc 2), never tracebacks.
 """
 
@@ -116,15 +116,6 @@ class TestRunSubcommand:
         assert (workdir / DEFAULT_MANIFEST_NAME).read_bytes() == committed
 
 
-class TestPerfSubcommand:
-    def test_smoke_end_to_end_rc0(self, workdir, capsys):
-        rc = main(["perf", "--smoke", "--out", "perf.json"])
-        assert rc == 0
-        report = json.loads((workdir / "perf.json").read_text())
-        assert report  # non-empty machine-readable report
-        assert "wrote perf.json" in capsys.readouterr().out
-
-
 class TestReportSubcommand:
     def test_valid_trace_rc0(self, workdir, capsys):
         with obs.installed() as hub:
@@ -147,7 +138,9 @@ class TestBadInput:
         ["report", "--timeline", "-1"],
         ["lint", "--root", "/nonexistent"],
         ["run", "--out", "/nonexistent/dir/m.json"],
-        ["perf", "--out", "/nonexistent/dir/p.json"],
+        # A directory, or no path at all, names no file to write.
+        pytest.param(["run", "--out", "."], id="run--out-dir"),
+        pytest.param(["run", "--out", ""], id="run--out-empty"),
     ], ids=lambda argv: argv[0] + argv[1])
     def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Tests for bin-packing vs single-slot scheduling and pools."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.cluster.worker import VcuWorker
 from repro.sim.rng import make_rng
 from repro.vcu.chip import Vcu
 from repro.vcu.spec import DEFAULT_VCU_SPEC
+from tests.oracles.scheduler import fit_mask, place_scan
 
 
 def make_workers(count=3):
@@ -49,13 +52,11 @@ class TestBinPacking:
         assert scheduler.place({"milliencode": 1.0}) is workers[1]
 
     def test_add_remove_worker(self):
-        workers = make_workers(1)
+        """A scheduler's fleet is fixed when it is built (there is no
+        add or remove), so what is left to pin is the empty fleet: it
+        places nothing."""
         scheduler = BinPackingScheduler([])
         assert scheduler.place({"milliencode": 1.0}) is None
-        scheduler.add_worker(workers[0])
-        assert scheduler.place({"milliencode": 1.0}) is workers[0]
-        scheduler.remove_worker(workers[0])
-        assert scheduler.workers == []
 
 
 class TestSingleSlot:
@@ -104,7 +105,7 @@ class TestIndexedScanEquivalence:
     def _replay(self, place_attr, steps, workers_n=7, seed=123, scheduler=None):
         if scheduler is None:
             scheduler = BinPackingScheduler(self._eq_fleet(workers_n))
-        place = getattr(scheduler, place_attr)
+        place = _placer(scheduler, place_attr)
         rng = make_rng(seed)
         in_flight = []
         trace = []
@@ -147,7 +148,7 @@ class TestIndexedScanEquivalence:
                     for i in range(5)
                 ]
                 scheduler = BinPackingScheduler(workers)
-                place = getattr(scheduler, place_attr)
+                place = _placer(scheduler, place_attr)
                 rng = make_rng(seed)
                 names = [w.name for w in workers]
                 trace = []
@@ -232,7 +233,10 @@ class TestIndexedScanEquivalence:
                 {workers[int(i)].name for i in rng.choice(len(workers), 3, replace=False)}
                 if rng.random() < 0.3 else frozenset()
             )
-            place = scheduler.place_scan if rng.random() < 0.15 else scheduler.place
+            place = (
+                partial(place_scan, scheduler) if rng.random() < 0.15
+                else scheduler.place
+            )
             worker = place(request, excluded=excluded, preference=preference)
             trace.append(
                 ("reject", None) if worker is None else ("place", worker.name)
@@ -249,7 +253,7 @@ class TestIndexedScanEquivalence:
         rejections = 0
         for seed in (5, 55):
             scan = BinPackingScheduler(self._wide_fleet())
-            scan.place = scan.place_scan
+            scan.place = partial(place_scan, scan)
             fast = BinPackingScheduler(self._wide_fleet())
             fast_trace = self._replay_wide(fast, seed, direct_releases=False)
             assert fast_trace == self._replay_wide(scan, seed, direct_releases=False)
@@ -344,6 +348,14 @@ class TestIndexedScanEquivalence:
         return trace
 
 
+def _placer(scheduler, place_attr):
+    """``scheduler``'s indexed ``place``, or the linear-scan oracle bound
+    to it for ``"place_scan"``."""
+    if place_attr == "place_scan":
+        return partial(place_scan, scheduler)
+    return getattr(scheduler, place_attr)
+
+
 def _count_refreshes(scheduler):
     """Count the change-log entries ``scheduler`` has appended: its log
     so far plus every row it re-reads from here on.  A log shorter than
@@ -363,7 +375,7 @@ class _WholeFleetMaskScheduler(BinPackingScheduler):
     """Oracle: first fit over one whole-fleet fit mask, computed up front."""
 
     def _place_indexed(self, request, excluded, preference):
-        mask = self._fit_mask(request)
+        mask = fit_mask(self, request)
         preferred = set()
         for name in preference or ():
             index = self._by_name.get(name)

@@ -5,7 +5,8 @@ kernel passes (``repro.codec.kernels``), a SAD-map motion search, and a
 vectorized intra scorer.  The contract is *bit-exactness*: same encoded
 bits, same PSNRs, same reconstruction, element for element.  This suite
 is the proof -- every fast path is compared against its preserved
-reference implementation with ``np.array_equal`` (no tolerances).
+reference implementation (``tests/oracles/codec.py``) with
+``np.array_equal`` (no tolerances).
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from repro.codec.kernels import (
 from repro.codec.prediction import (
     MotionVector,
     SearchPlanes,
-    _best_intra_reference,
-    _motion_search_reference,
     best_intra,
     motion_search,
     sample_block,
@@ -44,6 +43,12 @@ from repro.codec.transform import (
     transform_rd_single,
 )
 from repro.video.frame import Frame, Resolution
+from tests.oracles.codec import (
+    ReferenceEncoder,
+    best_intra_reference,
+    block_bits_reference,
+    motion_search_reference,
+)
 
 
 def _frames(height, width, count, seed=7, sigma=2.0):
@@ -119,7 +124,7 @@ class TestBatchedKernels:
         for ee in (0.85, 1.0):
             batched = batch_block_bits(stack, ee)
             for i in range(stack.shape[0]):
-                reference = entropy._block_bits_reference(stack[i], ee)
+                reference = block_bits_reference(stack[i], ee)
                 assert float(batched[i]) == reference
                 assert entropy.block_bits(stack[i], ee) == reference
 
@@ -127,14 +132,14 @@ class TestBatchedKernels:
         levels = np.zeros((8, 8), dtype=np.int64)
         levels[0, 0] = 5000  # beyond the Golomb LUT
         levels[3, 5] = -4097
-        reference = entropy._block_bits_reference(levels)
+        reference = block_bits_reference(levels)
         assert entropy.block_bits(levels) == reference
         assert float(batch_block_bits(levels[np.newaxis])[0]) == reference
 
     def test_block_bits_non_square_matches(self):
         rng = np.random.default_rng(6)
         levels = rng.integers(-9, 9, (4, 6)).astype(np.int64)
-        assert entropy.block_bits(levels) == entropy._block_bits_reference(levels)
+        assert entropy.block_bits(levels) == block_bits_reference(levels)
 
     def test_batch_sad_matches_scalar_sums(self):
         rng = np.random.default_rng(8)
@@ -163,7 +168,7 @@ class TestPredictionParity:
         for y, x, size in [(0, 0, 8), (0, 16, 8), (16, 0, 8), (24, 24, 8), (8, 8, 4)]:
             block = source[y : y + size, x : x + size]
             fast = best_intra(block, recon, y, x, size, rounds)
-            reference = _best_intra_reference(block, recon, y, x, size, rounds)
+            reference = best_intra_reference(block, recon, y, x, size, rounds)
             assert fast[0] == reference[0]
             assert np.array_equal(fast[1], reference[1])
             assert fast[2] == reference[2]
@@ -199,7 +204,7 @@ class TestPredictionParity:
                         source, reference, y, x, 8, search_range, half_pel,
                         pmv, planes=planes,
                     )
-                    ref = _motion_search_reference(
+                    ref = motion_search_reference(
                         source, reference, y, x, 8, search_range, half_pel, pmv
                     )
                     assert fast[0] == ref[0]
@@ -208,7 +213,7 @@ class TestPredictionParity:
 
 
 class TestEncoderParity:
-    """fast=True and fast=False encoders emit identical bitstreams."""
+    """The batched and reference encoders emit identical bitstreams."""
 
     @pytest.mark.parametrize("name", sorted(PROFILES_BY_NAME))
     def test_fast_and_reference_encoders_bit_identical(self, name):
@@ -217,8 +222,8 @@ class TestEncoderParity:
         frames = _frames(height, width, 4, seed=21)
         nominal = _resolution(height, width)
         outputs = []
-        for fast in (True, False):
-            encoder = Encoder(profile, keyframe_interval=3, fast=fast)
+        for encoder_class in (Encoder, ReferenceEncoder):
+            encoder = encoder_class(profile, keyframe_interval=3)
             outputs.append(
                 [
                     encoder.encode_frame(Frame(data, nominal, i), qp)
@@ -258,37 +263,45 @@ class TestEncoderParity:
         height, width = 37, 51
         frames = _frames(height, width, 2, seed=33)
         nominal = _resolution(height, width)
-        recons = []
-        for fast in (True, False):
-            chunk = encode_video(
-                type("V", (), {
-                    "frames": [Frame(f, nominal, i) for i, f in enumerate(frames)],
-                    "fps": 30.0,
-                    "nominal": nominal,
-                })(),
-                PROFILES_BY_NAME["libx264"], 30.0, fast=fast,
-            )
-            recons.append([f.recon for f in chunk.frames])
+        video = type("V", (), {
+            "frames": [Frame(f, nominal, i) for i, f in enumerate(frames)],
+            "fps": 30.0,
+            "nominal": nominal,
+        })()
+        profile = PROFILES_BY_NAME["libx264"]
+        chunk = encode_video(video, profile, 30.0)
+        reference = ReferenceEncoder(profile)
+        recons = [
+            [f.recon for f in chunk.frames],
+            [reference.encode_frame(f, 30.0).recon for f in video.frames],
+        ]
         for a, b in zip(*recons):
             assert np.array_equal(a, b)
 
 
 class TestDecoderParity:
-    """The batched whole-frame residual pass decodes to the same planes."""
+    """The decoder -- its whole-frame batched residual pass included --
+    replays every profile's bitstream to the encoder's reconstruction."""
 
-    @pytest.mark.parametrize("name", ["libx264", "vcu-vp9"])
-    def test_fast_and_slow_decode_match_encoder_recon(self, name):
+    #: A frame of whole blocks; a ragged one whose edge blocks take the
+    #: DC/PCM path; one whose corner is a coded 4x4 block; and a single
+    #: block, whose inter reference is exactly one block in size.
+    SHAPES = [(40, 56), (37, 51), (12, 20), (8, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("name", sorted(PROFILES_BY_NAME))
+    def test_decode_matches_encoder_recon(self, name, shape):
         profile = PROFILES_BY_NAME[name]
-        height, width = 40, 56
-        frames = _frames(height, width, 4, seed=40)
+        height, width = shape
+        frames = _frames(height, width, 6, seed=40)
         nominal = _resolution(height, width)
-        encoder = Encoder(profile, keyframe_interval=3, fast=True)
+        encoder = Encoder(profile, keyframe_interval=3)
         encoded = [
             encoder.encode_frame(Frame(data, nominal, i), 30.0)
             for i, data in enumerate(frames)
         ]
-        for fast in (True, False):
-            decoder = Decoder(profile, (height, width), fast=fast)
-            for frame in encoded:
-                recon = decoder.decode_frame(frame)
-                assert np.array_equal(recon, frame.recon)
+        assert any(frame.frame_type == "inter" for frame in encoded)
+        decoder = Decoder(profile, (height, width))
+        for frame in encoded:
+            recon = decoder.decode_frame(frame)
+            assert np.array_equal(recon, frame.recon)

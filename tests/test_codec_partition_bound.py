@@ -5,12 +5,12 @@ partition signalling plus one floor for each sub-block not yet encoded
 reaches the whole block's RD cost (DESIGN.md, "Bounded partition
 search").  The floor must be a true lower bound on a coded block's cost,
 and a stopped split must leave the reconstruction as the whole block
-wrote it, or the bitstream moves.  ``Encoder(fast=True)`` and
-``Encoder(fast=False)`` share that one search, so the fast/reference
-parity suite cannot see a bound bug.  The oracle here is the search
-without the bound: an encoder whose ``_encode_block`` encodes all four
-sub-blocks of every split candidate, compared with ``np.array_equal``
-and exact float equality.
+wrote it, or the bitstream moves.  ``Encoder`` and the parity suite's
+``ReferenceEncoder`` (``tests/oracles/codec.py``) share that one
+search, so the batched/reference parity suite cannot see a bound bug.
+The oracle here is the search without the bound: an encoder whose
+``_encode_block`` encodes all four sub-blocks of every split candidate,
+compared with ``np.array_equal`` and exact float equality.
 
 The frames come in three families.  Uniform noise and shifted-plus-noise
 motion exercise the search on busy content; piecewise-constant 4x4 tiles
@@ -37,6 +37,7 @@ from repro.codec.encoder import (
 from repro.codec.prediction import MotionVector, SearchPlanes
 from repro.codec.profiles import ALL_PROFILES, LIBX264
 from repro.video.frame import Frame, Resolution
+from tests.oracles.codec import ReferenceEncoder
 
 #: The four Figure 7 profiles (8x8 blocks, one split level) and a deeper
 #: search: 16x16 blocks split down to 4x4.
@@ -125,6 +126,21 @@ class ExhaustiveEncoder(CountingEncoder):
         return record, cost, bits, sad
 
 
+class ReferenceCountingEncoder(ReferenceEncoder, CountingEncoder):
+    """:class:`CountingEncoder` on the scalar reference kernels."""
+
+
+class ReferenceExhaustiveEncoder(ReferenceEncoder, ExhaustiveEncoder):
+    """:class:`ExhaustiveEncoder` on the scalar reference kernels."""
+
+
+#: ``reference`` -> (the encoder under test, its oracle).
+ENCODERS = {
+    False: (CountingEncoder, ExhaustiveEncoder),
+    True: (ReferenceCountingEncoder, ReferenceExhaustiveEncoder),
+}
+
+
 def content(family: str, seed: int, height: int, width: int, count: int):
     """``count`` frames of one family, as float32 planes."""
     rng = np.random.default_rng(seed)
@@ -159,14 +175,16 @@ def flatten(records: List[BlockRecord]):
     return out
 
 
-def encode_both(profile, qp, frames, fast):
+def encode_both(profile, qp, frames, reference):
     """Encode ``frames`` (a key frame, then inter frames) with the pruned
-    encoder and the oracle; assert every output is identical."""
+    encoder and the oracle, both on the batched kernels or both on the
+    reference ones; assert every output is identical."""
     height, width = frames[0].shape
     nominal = Resolution(pixels=height * width, width=width, height=height,
                          name="bound")
-    pruned = CountingEncoder(profile, fast=fast)
-    oracle = ExhaustiveEncoder(profile, fast=fast)
+    pruned_class, oracle_class = ENCODERS[reference]
+    pruned = pruned_class(profile)
+    oracle = oracle_class(profile)
     for index, plane in enumerate(frames):
         frame = Frame(plane, nominal, index)
         got, want = pruned.encode_frame(frame, qp), oracle.encode_frame(frame, qp)
@@ -197,17 +215,17 @@ def floor(profile, lam: float) -> float:
     count=st.integers(2, 3),
     family=st.sampled_from(FAMILIES),
     seed=st.integers(0, 2**32 - 1),
-    fast=st.booleans(),
+    reference=st.booleans(),
 )
 # Tiles whose split wins by less than the inter mode's extra signalling:
 # a floor of MODE_BITS_INTER prunes it and moves the bitstream.
 @example(profile=LIBX264, qp=45.0, height=32, width=32, count=2,
-         family="tiles", seed=7, fast=True)
+         family="tiles", seed=7, reference=False)
 def test_pruned_search_equals_exhaustive(
-    profile, qp, height, width, count, family, seed, fast
+    profile, qp, height, width, count, family, seed, reference
 ):
     frames = content(family, seed, height, width, count)
-    pruned, oracle = encode_both(profile, qp, frames, fast)
+    pruned, oracle = encode_both(profile, qp, frames, reference)
     for lam, cost in pruned.whole_costs + oracle.whole_costs:
         assert cost >= floor(profile, lam)
 
@@ -216,5 +234,5 @@ def test_the_bound_prunes_at_high_qp():
     """At QP 44 on a fixed frame the bound stops some split candidates,
     so the pruned search encodes strictly fewer whole blocks."""
     frames = content("motion", 3, 32, 40, 2)
-    pruned, oracle = encode_both(LIBX264, 44.0, frames, fast=True)
+    pruned, oracle = encode_both(LIBX264, 44.0, frames, reference=False)
     assert len(pruned.whole_costs) < len(oracle.whole_costs)

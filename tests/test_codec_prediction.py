@@ -5,13 +5,13 @@ import pytest
 
 from repro.codec.prediction import (
     MotionVector,
-    _motion_search_reference,
     best_inter,
     best_intra,
     intra_predict,
     motion_search,
     sample_block,
 )
+from tests.oracles.codec import motion_search_reference
 
 
 def _plane(height=32, width=32, seed=0):
@@ -150,7 +150,7 @@ class TestMotionSearch:
         mv, prediction, sad = motion_search(
             source, reference, 0, 0, 8, search_range=8, half_pel=half_pel
         )
-        want_mv, want_prediction, want_sad = _motion_search_reference(
+        want_mv, want_prediction, want_sad = motion_search_reference(
             source, reference, 0, 0, 8, search_range=8, half_pel=half_pel
         )
         assert (mv, sad) == (want_mv, want_sad)

@@ -47,6 +47,7 @@ from repro.vcu.host import VcuHost
 from repro.vcu.spec import DEFAULT_VCU_SPEC
 from repro.vcu.telemetry import FaultKind
 from repro.video.frame import resolution
+from tests.oracles.scheduler import fit_mask
 
 SHAPES = [
     {"millidecode": 250.0, "milliencode": 1200.0, "dram_bytes": 40e6},
@@ -296,7 +297,7 @@ class TestRowsAndUtilizationTableExact:
                 for key in list(scheduler._shapes):
                     request = dict(key)
                     bits = scheduler._fit_bits(request)
-                    assert list(bits) == scheduler._fit_mask(request).tolist()
+                    assert list(bits) == fit_mask(scheduler, request).tolist()
                     seen["shapes"] += 1
             workers = cluster.vcu_workers
             assert np.array_equal(

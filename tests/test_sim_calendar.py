@@ -6,7 +6,7 @@ Two oracles pin the PR8 engine swap down:
   heapq -- the exact total order the old engine implemented -- across
   arbitrary interleavings of pushes (tie-heavy, far-future, same-instant
   re-pushes) and batch pops.
-* :mod:`repro.sim.engine` against :mod:`repro.sim.reference` (the frozen
+* :mod:`repro.sim.engine` against :mod:`tests.oracles.engine` (the frozen
   single-heap engine): randomly generated process/timer/timeout
   workloads must produce byte-identical dispatch traces, including
   ``run(until=...)`` boundaries, cancelled timers at the queue head, and
@@ -26,9 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import reference
 from repro.sim import engine
 from repro.sim.calendar import CalendarQueue
+from tests.oracles import engine as reference
 
 # A grid of timestamps guaranteeing heavy ties plus values beyond the
 # small test span (to force overflow migration), mixed with free floats.
