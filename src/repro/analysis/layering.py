@@ -18,16 +18,31 @@ Edge semantics:
 * An import *cycle* over toplevel edges alone is a hard finding on top
   of any allowed-deps findings: it can deadlock or half-initialise the
   interpreter regardless of what the DAG declares.
+* ``repro`` never imports test or benchmark code at runtime: an import
+  of a module under :data:`TEST_ROOTS` is a finding wherever it sits.
+  Those modules are outside the project, so no edge reaches them; the
+  pass reads the import statements themselves.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, _import_base, _package_parts
 from repro.analysis.project import ProjectContext, ProjectRule, register_project
 
-__all__ = ["ALLOWED_DEPS", "ArchitectureLayeringRule", "validate_dag"]
+__all__ = [
+    "ALLOWED_DEPS",
+    "TEST_ROOTS",
+    "ArchitectureLayeringRule",
+    "validate_dag",
+]
+
+#: Top-level packages of test and benchmark code (``tests.oracles``,
+#: ``benchmarks.conftest``, the ``bench`` harness), which ``repro`` may
+#: not import at runtime.
+TEST_ROOTS: FrozenSet[str] = frozenset({"tests", "benchmarks", "bench"})
 
 #: package -> packages it may import at runtime (toplevel or lazy).
 #: Listed bottom-up; every entry's deps must appear earlier — that
@@ -225,6 +240,7 @@ class ArchitectureLayeringRule(ProjectRule):
                         ),
                     )
                 )
+        findings.extend(self._test_imports(project))
         # Hard cycles: SCCs over import-time edges only.  The DAG check
         # above already flags at least one direction, but a cycle is a
         # distinct, worse defect (import order dependent half-init), so
@@ -252,3 +268,31 @@ class ArchitectureLayeringRule(ProjectRule):
         findings.sort(key=lambda f: (f.path, f.line, f.message))
         for finding in findings:
             yield finding
+
+    def _test_imports(self, project: ProjectContext) -> Iterator[Finding]:
+        """Runtime imports of :data:`TEST_ROOTS` modules from ``repro``."""
+        for info in project.iter_modules():
+            if info.package is None:
+                continue
+            package_parts = _package_parts(info.name, info.is_package)
+            for node, kind in info.edge_sites:
+                if kind == "type_checking":
+                    continue
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    targets = [_import_base(node, package_parts)]
+                else:
+                    continue
+                for target in targets:
+                    if target.partition(".")[0] in TEST_ROOTS:
+                        yield Finding(
+                            rule=self.id,
+                            path=info.path,
+                            line=node.lineno,
+                            col=0,
+                            message=(
+                                f"{info.name} imports {target} ({kind}); "
+                                "src/ may not import test or benchmark code"
+                            ),
+                        )

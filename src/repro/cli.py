@@ -79,6 +79,24 @@ def _output_file(text: str) -> str:
     return text
 
 
+def _cache_directory(text: str) -> str:
+    """A directory the result cache may create: the path is not empty,
+    and neither it nor any parent of it that exists is a file.  A path
+    that does not exist yet is fine; the cache creates it."""
+    if not text:
+        raise argparse.ArgumentTypeError(
+            f"expected a directory path, got {text!r}"
+        )
+    existing = os.path.abspath(text)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(
+            f"{existing!r} exists and is not a directory (for {text!r})"
+        )
+    return text
+
+
 def _resolution_name(text: str) -> str:
     from repro.video.frame import resolution
 
@@ -366,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--jobs", type=_positive(int), default=1,
                      help="worker processes to shard units across")
-    run.add_argument("--cache-dir", default=".repro-cache",
+    run.add_argument("--cache-dir", type=_cache_directory,
+                     default=".repro-cache",
                      help="content-addressed result cache directory")
     run.add_argument("--no-cache", action="store_true",
                      help="recompute every unit, bypassing the cache")

@@ -397,8 +397,6 @@ class TranscodeCluster:
         self.stats.software_fallbacks += 1
         if opportunistic:
             self.stats.opportunistic_fallbacks += 1
-            if self.ladder_metrics is not None:
-                self.ladder_metrics.note_opportunistic_fallback()
         hub = obs.active()
         if hub is not None:
             hub.count("cluster.software_fallbacks")

@@ -17,20 +17,23 @@ is that layer for the simulated fleet:
 * :mod:`repro.control.plane` -- the :class:`ControlPlane` service tying
   it together over pluggable executors.
 * :mod:`repro.control.scenario` -- the flagship "global platform day"
-  scenario and its SLO scorecard.
+  scenario, its SLO scorecard, and the day runner ``surge`` shares.
 * :mod:`repro.control.streaming` -- the segment-streaming executor that
   turns LIVE/UPLOAD jobs into ladder stream sessions.
 * :mod:`repro.control.live_ladder` -- the "live ladder" scenario and its
   time-to-first-segment latency scorecard.
 * :mod:`repro.control.catalog` -- the scenario catalog: one table that
   declares every deployment-narrative experiment (grids, seeds, run
-  function and config class, scorecard keys, summary columns).
+  function and config class, summary columns).
 * :mod:`repro.control.canary` -- the firmware canary-rollout scenario
   (stage, detect regression from scorecards, roll back or promote).
 * :mod:`repro.control.chaos` -- the correlated-outage chaos campaign
   (blast radius x repair capacity under a capped repair queue).
 * :mod:`repro.control.surge` -- popularity-surge / live-mix-shift
-  demand disturbances over the platform-day machinery.
+  demand disturbances on the platform day's runner.
+
+Each scenario's ``build_scorecard`` is the one place its scorecard keys
+are named; the reviewed key sets are the tests' golden files.
 
 Re-exports resolve lazily (PEP 562): ``repro.control.catalog`` is
 import-light by contract (a cache-hot ``repro-bench run`` expands grids
@@ -77,13 +80,12 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
         ScenarioResult,
         build_scorecard,
         run_global_platform_day,
-        scorecard_keys,
     )
     from repro.control.streaming import StreamingExecutor
 
 # name -> defining submodule; repro.control.live_ladder's own
-# ``scorecard_keys``/``build_scorecard`` are intentionally NOT
-# re-exported here (the names belong to the flagship scenario), and the
+# ``build_scorecard`` is intentionally NOT re-exported here (the name
+# belongs to the flagship scenario), and the
 # canary/chaos/surge/catalog scenario APIs are module-scoped by design:
 # import them from their modules directly.
 _EXPORTS = {
@@ -117,7 +119,6 @@ _EXPORTS = {
     "make_sites": "plane",
     "run_global_platform_day": "scenario",
     "run_live_ladder": "live_ladder",
-    "scorecard_keys": "scenario",
 }
 
 __all__ = sorted(_EXPORTS)

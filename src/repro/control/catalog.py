@@ -7,8 +7,9 @@ demand-mix disturbances -- lives here as one declarative catalog.  Each
 :class:`CatalogEntry` is the only declaration of its experiment: title,
 seed, grids, the scenario's config class and run function, and summary
 columns.  :mod:`repro.runner.experiments` registers every entry from
-this table in one loop, and :func:`scorecard_keys` reads an entry's
-static key set for the smoke-gate diffs.
+this table in one loop.  A scorecard's keys are named only by the code
+that builds it; the reviewed key sets the smoke gates diff real cards
+against are a golden file under ``tests/golden``.
 
 This module is deliberately import-light (the registry contract: a
 cache-hot ``repro-bench run`` never touches the cluster simulator).
@@ -177,26 +178,6 @@ def surge_grid(smoke: bool = False) -> List[Dict[str, Any]]:
 #: Bump when the timeline scorecard's key set or semantics change.
 TIMELINE_SCORECARD_VERSION = 1
 
-_TIMELINE_FIELDS: Tuple[str, ...] = (
-    "schema_version",
-    "month",
-    "throughput_mpix_s",
-    "total_megapixels",
-    "decoder_util",
-    "encoder_util",
-    "vcu_workers",
-    "rc_efficiency.h264",
-    "rc_efficiency.vp9",
-    "bitrate_vs_software.h264",
-    "bitrate_vs_software.vp9",
-    "milestones_shipped",
-)
-
-
-def timeline_scorecard_keys() -> Tuple[str, ...]:
-    """The exact, sorted key set every timeline scorecard carries."""
-    return tuple(sorted(_TIMELINE_FIELDS))
-
 
 def bitrate_vs_software_pct(codec: str, month: float) -> float:
     """Figure 10's y-axis: VCU bitrate at iso-quality vs software, in %.
@@ -253,8 +234,6 @@ def run_tuning_month(
         ),
         "milestones_shipped": len(milestones_through(month)),
     }
-    if tuple(sorted(card)) != timeline_scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from timeline_scorecard_keys()")
     return dict(sorted(card.items()))
 
 
@@ -280,8 +259,6 @@ class CatalogEntry:
     run: str
     #: ``"module:Class"`` built from the grid parameters, or ``""``.
     config: str
-    #: ``"module:function"`` returning the static, sorted scorecard keys.
-    keys: str
     #: Summary columns in report order: (column, scorecard key).  Rows
     #: lead with the arm fields.
     columns: Tuple[Tuple[str, str], ...]
@@ -299,7 +276,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=platform_day_grid,
         run="repro.control.scenario:run_global_platform_day",
         config="repro.control.scenario:ScenarioConfig",
-        keys="repro.control.scenario:scorecard_keys",
         columns=(
             ("submitted", "jobs.submitted"),
             ("done", "jobs.done"),
@@ -320,7 +296,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=live_ladder_grid,
         run="repro.control.live_ladder:run_live_ladder",
         config="repro.control.live_ladder:LiveLadderConfig",
-        keys="repro.control.live_ladder:scorecard_keys",
         columns=(
             ("streams", "streams.completed"),
             ("segments", "segments.manifested"),
@@ -346,7 +321,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=canary_grid,
         run="repro.control.canary:run_canary_rollout",
         config="repro.control.canary:CanaryConfig",
-        keys="repro.control.canary:scorecard_keys",
         columns=(
             ("stage", "rollout.stage"),
             ("regression_detected", "rollout.regression_detected"),
@@ -366,7 +340,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=chaos_grid,
         run="repro.control.chaos:run_chaos_campaign",
         config="repro.control.chaos:ChaosCampaignConfig",
-        keys="repro.control.chaos:scorecard_keys",
         columns=(
             ("jobs_completed", "jobs.completed"),
             ("hangs", "cluster.hangs"),
@@ -385,7 +358,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=timeline_grid,
         run="repro.control.catalog:run_tuning_month",
         config="",
-        keys="repro.control.catalog:timeline_scorecard_keys",
         columns=(
             ("throughput_mpix_s", "throughput_mpix_s"),
             ("vcu_workers", "vcu_workers"),
@@ -404,7 +376,6 @@ CATALOG: Tuple[CatalogEntry, ...] = (
         grid=surge_grid,
         run="repro.control.surge:run_surge_mix",
         config="repro.control.surge:SurgeMixConfig",
-        keys="repro.control.surge:scorecard_keys",
         columns=(
             ("submitted", "jobs.submitted"),
             ("done", "jobs.done"),
@@ -436,13 +407,3 @@ def catalog_entry(name: str) -> CatalogEntry:
             return entry
     known = ", ".join(catalog_names())
     raise KeyError(f"unknown catalog experiment {name!r}; known: {known}")
-
-
-def scorecard_keys(name: str) -> Tuple[str, ...]:
-    """The static scorecard key set for one catalog experiment.
-
-    Lazy: resolving a key set imports the scenario module only when a
-    gate actually asks for it.
-    """
-    keys: Tuple[str, ...] = resolve(catalog_entry(name).keys)()
-    return keys

@@ -13,16 +13,16 @@ fallback while live deadlines keep ticking.
 The output is the **latency SLO scorecard**: time-to-first-segment and
 manifest-stall percentiles, per-rung queue waits, deadline-miss rates,
 and fallback/retry accounting next to the job-conservation verdict.
-As with the platform-day scenario the key set is static
-(:func:`scorecard_keys`) and guarded at build time, and the whole run
-is a pure function of ``(config, seed)`` -- byte-identical scorecards
-at any ``--jobs``.
+As with the platform-day scenario :func:`build_scorecard` is the one
+place the card's keys are named (one ``rung.*`` pair per rung of the
+live source's ladder), and the whole run is a pure function of
+``(config, seed)`` -- byte-identical scorecards at any ``--jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.cluster.cluster import TranscodeCluster
 from repro.cluster.worker import CpuWorker, VcuWorker
@@ -31,7 +31,8 @@ from repro.control.plane import ControlPlane, make_sites
 from repro.control.scenario import job_fields
 from repro.control.streaming import StreamingExecutor
 from repro.failures.injector import FaultInjector
-from repro.obs.latency import LadderMetrics
+from repro.obs.latency import QUEUE_WAIT_BOUNDS, LadderMetrics
+from repro.obs.registry import Histogram
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike, split_rng
 from repro.transcode.streaming import LadderDispatcher
@@ -43,38 +44,8 @@ from repro.workloads.streams import LadderDemandConfig, LadderDemandWorkload
 #: Bump when the scorecard's key set or semantics change.
 SCORECARD_VERSION = 1
 
-#: Default per-rung key set: the full ladder of a 1080p live source.
-DEFAULT_RUNGS: Tuple[str, ...] = tuple(
-    r.name for r in output_ladder(resolution("1080p"))
-)
-
 _CLASSES = (SloClass.LIVE, SloClass.UPLOAD)
 _PER_CLASS_FIELDS = ("submitted", "done", "shed", "queue_p50", "queue_p99")
-_GLOBAL_FIELDS = (
-    "schema_version",
-    "jobs.submitted", "jobs.done", "jobs.failed", "jobs.shed",
-    "streams.started", "streams.completed",
-    "segments.released", "segments.manifested", "segments.lost",
-    "ttfs.p50", "ttfs.p90", "ttfs.p99",
-    "stall.p50", "stall.p99",
-    "deadline.tracked", "deadline.missed", "deadline.miss_rate",
-    "fallback.software", "fallback.opportunistic",
-    "cluster.retries", "cluster.hangs", "cluster.corrupt_caught",
-    "cluster.host_evictions",
-    "outages.count",
-    "conservation.ok",
-)
-
-
-def scorecard_keys(rungs: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """The exact, sorted key set every live-ladder scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for cls in _CLASSES:
-        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
-    for rung in (DEFAULT_RUNGS if rungs is None else tuple(rungs)):
-        keys.append(f"rung.{rung}.queue_p50")
-        keys.append(f"rung.{rung}.queue_p99")
-    return tuple(sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -234,16 +205,12 @@ def build_scorecard(
         and lost == 0
         and not dispatcher.unfinished()
     )
-    ladder_card = metrics.scorecard(rungs=rungs)
+    # A rung that saw no work reads an empty histogram: 0.0.
+    empty = Histogram("ladder.queue_wait.empty", QUEUE_WAIT_BOUNDS)
     for rung in rungs:
-        card[f"rung.{rung}.queue_p50"] = round(
-            float(ladder_card[f"ladder.rung.{rung}.queue_p50"]), 9
-        )
-        card[f"rung.{rung}.queue_p99"] = round(
-            float(ladder_card[f"ladder.rung.{rung}.queue_p99"]), 9
-        )
-    if tuple(sorted(card)) != scorecard_keys(rungs):
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
+        histogram = metrics.queue_wait.get(rung, empty)
+        card[f"rung.{rung}.queue_p50"] = round(histogram.quantile(0.50), 9)
+        card[f"rung.{rung}.queue_p99"] = round(histogram.quantile(0.99), 9)
     return dict(sorted(card.items()))
 
 

@@ -22,6 +22,7 @@ produce byte-identical ledgers and scorecards.
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -177,6 +178,12 @@ class ControlPlane:
         executor: Optional[Executor] = None,
         seed: SeedLike = 0,
     ) -> None:
+        # A zero interval would tick forever at one timestamp.
+        if not 0.0 < autoscale_interval_seconds < math.inf:
+            raise ValueError(
+                "autoscale_interval_seconds must be finite and positive,"
+                f" got {autoscale_interval_seconds!r}"
+            )
         self.sim = sim
         self.router = FailoverRouter(sites)
         self.admission = AdmissionController(admission)

@@ -47,7 +47,6 @@ class StreamingExecutor:
         self.upload_source = upload_source or resolution("720p")
         self.live_deadline_seconds = live_deadline_seconds
         self.codecs = codecs
-        self.started_streams = 0
 
     def spec_for(self, job: Job) -> StreamSpec:
         """The stream a job's modelled demand maps to.
@@ -75,5 +74,4 @@ class StreamingExecutor:
             on_done(job, True)
 
         self.dispatcher.start_stream(self.spec_for(job), on_final=finished)
-        self.started_streams += 1
         return None

@@ -11,13 +11,14 @@ rather than the infrastructure (no outage):
   live event), exercising strict-priority scheduling and the capacity
   autoscaler under a mix the sites were not sized for.
 
-Both run the full control plane -- admission, retries, spill routing,
-autoscaling -- over :class:`~repro.workloads.events.EventedDayWorkload`
-demand, and score the same per-class SLO fields as the flagship
-``platform-day`` scorecard plus the event-window accounting.  As with
-every catalog scenario the run is a pure function of ``(config, seed)``:
-static :func:`scorecard_keys`, byte-identical scorecards at any
-``--jobs``.
+Both run on the platform day's runner -- admission, retries, spill
+routing, autoscaling -- over
+:class:`~repro.workloads.events.EventedDayWorkload` demand, and score
+the same per-class SLO and plane fields as the flagship ``platform-day``
+scorecard plus the event-window accounting.  As with every catalog
+scenario the run is a pure function of ``(config, seed)``, and
+:func:`build_scorecard` is the one place its keys are named:
+byte-identical scorecards at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.cluster.autoscale import CapacityAutoscaleConfig
-from repro.control.jobs import JobRequest, RetryPolicy, SloClass
-from repro.control.plane import ControlPlane, ModeledExecutor, make_sites
-from repro.control.scenario import CLASS_FIELDS, DEFAULT_SITES, job_fields
-from repro.sim.engine import Simulator
+from repro.control.jobs import JobRequest
+from repro.control.plane import ControlPlane
+from repro.control.scenario import (
+    DEFAULT_SITES,
+    _start_day,
+    job_fields,
+    plane_fields,
+)
 from repro.sim.rng import SeedLike
 from repro.workloads.events import EventedDayWorkload, MixShiftSpec, SurgeSpec
 from repro.workloads.platform import PlatformDayConfig
@@ -39,24 +43,6 @@ SCORECARD_VERSION = 1
 
 #: The two registered disturbance scenarios.
 SCENARIOS: Tuple[str, ...] = ("popularity-surge", "live-mix-shift")
-
-_GLOBAL_FIELDS = (
-    "schema_version", "scenario",
-    "event.start", "event.end", "event.jobs_in_window",
-    "jobs.submitted", "jobs.done", "jobs.failed", "jobs.shed",
-    "failover.routed", "spill.routed",
-    "autoscale.actions", "autoscale.peak_slots",
-    "dead_letter.count",
-    "conservation.ok",
-)
-
-
-def scorecard_keys() -> Tuple[str, ...]:
-    """The exact, sorted key set every disturbance scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for cls in SloClass:
-        keys.extend(f"class.{cls.label}.{f}" for f in CLASS_FIELDS)
-    return tuple(sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -116,22 +102,16 @@ def build_scorecard(
     jobs_in_window: int,
 ) -> Dict[str, Any]:
     """The flat disturbance scorecard, keys sorted, values rounded."""
-    card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    card.update(job_fields(plane))
     start, end = config.event_window()
-    card["scenario"] = config.scenario
-    card["event.start"] = round(start, 9)
-    card["event.end"] = round(end, 9)
-    card["event.jobs_in_window"] = jobs_in_window
-    card["failover.routed"] = plane.router.failover_routed
-    card["spill.routed"] = plane.router.spill_routed
-    autoscaler = plane.autoscaler
-    card["autoscale.actions"] = 0 if autoscaler is None else autoscaler.actions
-    card["autoscale.peak_slots"] = plane.peak_capacity
-    card["dead_letter.count"] = len(plane.dead_letters)
-    card["conservation.ok"] = bool(plane.ledger.conservation_report()["ok"])
-    if tuple(sorted(card)) != scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
+    card: Dict[str, Any] = {
+        "schema_version": SCORECARD_VERSION,
+        **job_fields(plane),
+        **plane_fields(plane),
+        "scenario": config.scenario,
+        "event.start": round(start, 9),
+        "event.end": round(end, 9),
+        "event.jobs_in_window": jobs_in_window,
+    }
     return dict(sorted(card.items()))
 
 
@@ -143,27 +123,9 @@ def run_surge_mix(
     Arrivals stop at the day boundary; the simulation drains the
     backlog past it so every job is terminal at return.
     """
-    sim = Simulator()
-    sites = make_sites(
-        config.site_specs, max_slots_factor=config.max_slots_factor
+    sim, plane, requests = _start_day(
+        config, autoscale=True, workload=config.workload, seed=seed
     )
-    plane = ControlPlane(
-        sim,
-        sites,
-        retry=RetryPolicy(),
-        autoscale=CapacityAutoscaleConfig(),
-        autoscale_interval_seconds=config.autoscale_interval_seconds,
-        executor=ModeledExecutor(
-            sim, seed=seed, failure_rate=config.failure_rate
-        ),
-        seed=seed,
-    )
-    requests = config.workload(seed).requests(until=config.day_seconds)
-    for request in requests:
-        sim.call_at(
-            request.arrival_time,
-            lambda r=request: plane.submit(r),
-        )
     plane.start_autoscaler(until=config.day_seconds)
     sim.run()
     start, end = config.event_window()

@@ -10,12 +10,15 @@ long finished segments stalled behind the alignment barrier.
 :class:`~repro.obs.registry.Histogram` -- deterministic, mergeable, and
 numpy-free like the rest of ``repro.obs``.  The cluster records
 per-rung queue waits into it as segment steps start; the stream
-sessions record releases, manifests, and time-to-first-segment.
+sessions record releases, manifests, and time-to-first-segment.  It
+holds no scorecard of its own: the live-ladder scenario's
+``build_scorecard`` reads its counters and histograms directly, and the
+cluster's ``ClusterStats`` counts opportunistic fallbacks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.obs.registry import Histogram
 
@@ -56,10 +59,6 @@ class LadderMetrics:
         self.manifests_emitted = 0
         self.deadlines_tracked = 0
         self.deadlines_missed = 0
-        self.corrupt_rungs = 0
-        self.opportunistic_fallbacks = 0
-
-    # -- recording -----------------------------------------------------
 
     def note_stream_started(self) -> None:
         self.streams_started += 1
@@ -78,14 +77,10 @@ class LadderMetrics:
     ) -> None:
         self.manifests_emitted += 1
         self.manifest_stall.observe(entry.stall_seconds)
-        self.corrupt_rungs += entry.corrupt_rungs
         if deadline_tracked:
             self.deadlines_tracked += 1
             if entry.deadline_missed:
                 self.deadlines_missed += 1
-
-    def note_opportunistic_fallback(self) -> None:
-        self.opportunistic_fallbacks += 1
 
     def observe_queue_wait(self, rung: str, wait_seconds: float) -> None:
         histogram = self.queue_wait.get(rung)
@@ -95,40 +90,3 @@ class LadderMetrics:
             )
             self.queue_wait[rung] = histogram
         histogram.observe(wait_seconds)
-
-    # -- reporting -----------------------------------------------------
-
-    def rungs_seen(self) -> List[str]:
-        return sorted(self.queue_wait)
-
-    def scorecard(
-        self, rungs: Optional[Sequence[str]] = None
-    ) -> Dict[str, object]:
-        """Flat ``ladder.*`` scorecard entries, sorted by key.
-
-        ``rungs`` pins the per-rung key set (scenario scorecards need a
-        static schema even when a rung saw no work); by default only the
-        rungs actually observed appear.
-        """
-        rung_names = list(rungs) if rungs is not None else self.rungs_seen()
-        card: Dict[str, object] = {
-            "ladder.streams.started": self.streams_started,
-            "ladder.streams.completed": self.streams_completed,
-            "ladder.segments.released": self.segments_released,
-            "ladder.segments.manifested": self.manifests_emitted,
-            "ladder.ttfs.p50": self.ttfs.quantile(0.5),
-            "ladder.ttfs.p90": self.ttfs.quantile(0.9),
-            "ladder.ttfs.p99": self.ttfs.quantile(0.99),
-            "ladder.stall.p50": self.manifest_stall.quantile(0.5),
-            "ladder.stall.p99": self.manifest_stall.quantile(0.99),
-            "ladder.deadline.tracked": self.deadlines_tracked,
-            "ladder.deadline.missed": self.deadlines_missed,
-            "ladder.corrupt_rungs": self.corrupt_rungs,
-            "ladder.fallback.opportunistic": self.opportunistic_fallbacks,
-        }
-        empty = Histogram("ladder.queue_wait.empty", QUEUE_WAIT_BOUNDS)
-        for rung in rung_names:
-            histogram = self.queue_wait.get(rung, empty)
-            card[f"ladder.rung.{rung}.queue_p50"] = histogram.quantile(0.5)
-            card[f"ladder.rung.{rung}.queue_p99"] = histogram.quantile(0.99)
-        return dict(sorted(card.items()))

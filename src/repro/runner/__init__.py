@@ -42,7 +42,6 @@ from repro.runner.executor import (
 from repro.runner.manifest import (
     DEFAULT_MANIFEST_NAME,
     build_manifest,
-    dump_json,
     manifest_text,
     render_markdown,
     render_stats,
@@ -70,7 +69,6 @@ __all__ = [
     "build_manifest",
     "canonical_json",
     "default_registry",
-    "dump_json",
     "import_closure",
     "manifest_text",
     "render_markdown",

@@ -26,12 +26,6 @@ from repro.runner.registry import RUNNER_SCHEMA_VERSION
 DEFAULT_MANIFEST_NAME = "BENCH_PR10.json"
 
 
-def dump_json(path: str, payload: Any) -> None:
-    """Write ``payload`` to ``path`` as canonical JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(payload))
-
-
 def build_manifest(runs: Sequence[Any]) -> Dict[str, Any]:
     """A deterministic manifest dict from :class:`ExperimentRun` objects."""
     experiments: Dict[str, Any] = {}

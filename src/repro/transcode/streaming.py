@@ -9,13 +9,13 @@ step graph on the cluster, and completions feed the
 :class:`~repro.transcode.segments.ManifestAssembler` barrier until the
 final manifest entry is published.
 
-Latency accounting flows into one shared
+Latency accounting flows into the dispatcher's own
 :class:`~repro.obs.latency.LadderMetrics`: the dispatcher installs it on
-the cluster (per-rung queue waits, opportunistic fallbacks) and the
-sessions record releases, time-to-first-segment, manifest stalls, and
-deadline misses.  When an observability hub is installed the sessions
-additionally emit ``stream`` / ``segment`` / ``manifest`` spans, so
-ladder traces line up with the cluster's ``step`` spans.
+the cluster (per-rung queue waits) and the sessions record releases,
+time-to-first-segment, manifest stalls, and deadline misses.  When an
+observability hub is installed the sessions additionally emit
+``stream`` / ``segment`` / ``manifest`` spans, so ladder traces line up
+with the cluster's ``step`` spans.
 """
 
 from __future__ import annotations
@@ -150,15 +150,10 @@ class StreamSession:
 class LadderDispatcher:
     """Routes cluster step completions to their stream sessions."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cluster: "TranscodeCluster",
-        metrics: Optional[LadderMetrics] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, cluster: "TranscodeCluster") -> None:
         self.sim = sim
         self.cluster = cluster
-        self.metrics = metrics if metrics is not None else LadderMetrics()
+        self.metrics = LadderMetrics()
         self._sessions: Dict[str, StreamSession] = {}
         cluster.ladder_metrics = self.metrics
         cluster.on_step_done = self._step_done

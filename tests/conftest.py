@@ -2,6 +2,14 @@
 
 Fixtures: small, fast synthetic videos for codec-level tests.
 
+Golden scorecard keys: :func:`golden_scorecard_keys` reads
+``tests/golden/scorecard_keys.json``, the reviewed key set of every
+catalog experiment's scorecard.  The scenario code names each key only
+where it builds the card, so this file is the one contract the tests
+and the CI smoke gate hold every real card to.  Changing a key set is a
+deliberate, reviewed change: edit the golden file *and* bump the
+scenario's ``SCORECARD_VERSION``.
+
 Sharding: when ``REPRO_TEST_SHARD=<index>/<total>`` is set (1-based
 index), collection keeps only the test files assigned to that shard by
 the committed ``tests/shards.json`` manifest, so CI can fan the tier-1
@@ -24,6 +32,15 @@ from repro.video.content import ContentSpec, SyntheticVideo
 
 SHARD_ENV_VAR = "REPRO_TEST_SHARD"
 SHARDS_MANIFEST = Path(__file__).resolve().parent / "shards.json"
+GOLDEN_SCORECARD_KEYS = (
+    Path(__file__).resolve().parent / "golden" / "scorecard_keys.json"
+)
+
+
+def golden_scorecard_keys() -> dict:
+    """Catalog experiment name -> its scorecard's sorted key tuple."""
+    golden = json.loads(GOLDEN_SCORECARD_KEYS.read_text(encoding="utf-8"))
+    return {name: tuple(keys) for name, keys in golden.items()}
 
 
 def load_shard_manifest(path: Path = SHARDS_MANIFEST) -> dict:

@@ -303,6 +303,31 @@ class TestLayering:
         })
         assert findings == []
 
+    def test_runtime_imports_of_test_and_benchmark_code_are_flagged(self):
+        # Those packages are outside the project, so no import edge
+        # reaches them; the pass must read the import statements.
+        findings = check(ArchitectureLayeringRule(TINY_DAG), {
+            "src/repro/video/frame.py": textwrap.dedent("""\
+                from typing import TYPE_CHECKING
+                import benchmarks.conftest
+
+                if TYPE_CHECKING:
+                    from tests.oracles import engine
+
+                def late():
+                    from tests.oracles.scheduler import fit_mask
+                    import bench.suite
+                    from repro.video import tests
+                    return fit_mask
+                """),
+        })
+        assert [(f.rule, f.line) for f in findings] == [
+            ("layering", 2), ("layering", 8), ("layering", 9),
+        ]
+        assert "imports benchmarks.conftest (toplevel)" in findings[0].message
+        assert "imports tests.oracles.scheduler (lazy)" in findings[1].message
+        assert "imports bench.suite (lazy)" in findings[2].message
+
     def test_import_time_cycle_is_flagged_as_cycle(self):
         findings = check(ArchitectureLayeringRule(TINY_DAG), {
             "src/repro/video/frame.py": "from repro.metrics import quality\n",

@@ -4,10 +4,11 @@ Locks everything the ``scenario-smoke`` CI job relies on: all six
 catalog experiments are registered from their
 :mod:`repro.control.catalog` entries (title, seed, schema and grids, with
 every module an entry names in the experiment's fingerprint sources),
-their scorecard key sets match per-scenario golden lists
-(drift in a key set is a deliberate, reviewed change -- update the
-golden *and* bump the scenario's ``SCORECARD_VERSION``), and the smoke
-manifest is byte-identical at ``--jobs 1`` and ``--jobs 3``.
+every smoke scorecard carries exactly its golden key set from
+``tests/golden/scorecard_keys.json`` (drift in a key set is a
+deliberate, reviewed change -- update the golden *and* bump the
+scenario's ``SCORECARD_VERSION``), and the smoke manifest is
+byte-identical at ``--jobs 1`` and ``--jobs 3``.
 """
 
 from __future__ import annotations
@@ -22,101 +23,12 @@ from repro.runner import default_registry
 from repro.runner.cache import closure_roots, repo_root, source_hashes
 from repro.runner.executor import run_experiments
 from repro.runner.manifest import build_manifest, manifest_text
+from tests.conftest import golden_scorecard_keys
 
-#: Per-scenario golden key sets, spelled out: the CI gate's ground
-#: truth.  A mismatch here means a scorecard changed shape without a
-#: version bump -- exactly the drift the catalog exists to catch.
-GOLDEN_KEYS = {
-    "platform-day": (
-        "autoscale.actions", "autoscale.peak_slots",
-        "class.batch.completion_rate", "class.batch.done",
-        "class.batch.failed", "class.batch.queue_p50",
-        "class.batch.queue_p90", "class.batch.queue_p99",
-        "class.batch.retries", "class.batch.shed", "class.batch.shed_rate",
-        "class.batch.submitted", "class.live.completion_rate",
-        "class.live.done", "class.live.failed", "class.live.queue_p50",
-        "class.live.queue_p90", "class.live.queue_p99",
-        "class.live.retries", "class.live.shed", "class.live.shed_rate",
-        "class.live.submitted", "class.upload.completion_rate",
-        "class.upload.done", "class.upload.failed",
-        "class.upload.queue_p50", "class.upload.queue_p90",
-        "class.upload.queue_p99", "class.upload.retries",
-        "class.upload.shed", "class.upload.shed_rate",
-        "class.upload.submitted", "conservation.ok", "dead_letter.count",
-        "failover.drained_queued", "failover.drained_running",
-        "failover.routed", "jobs.done", "jobs.failed", "jobs.shed",
-        "jobs.submitted", "outages.count", "schema_version", "spill.routed",
-    ),
-    "live-ladder": (
-        "class.live.done", "class.live.queue_p50", "class.live.queue_p99",
-        "class.live.shed", "class.live.submitted", "class.upload.done",
-        "class.upload.queue_p50", "class.upload.queue_p99",
-        "class.upload.shed", "class.upload.submitted",
-        "cluster.corrupt_caught", "cluster.hangs", "cluster.host_evictions",
-        "cluster.retries", "conservation.ok", "deadline.miss_rate",
-        "deadline.missed", "deadline.tracked", "fallback.opportunistic",
-        "fallback.software", "jobs.done", "jobs.failed", "jobs.shed",
-        "jobs.submitted", "outages.count", "rung.1080p.queue_p50",
-        "rung.1080p.queue_p99", "rung.144p.queue_p50",
-        "rung.144p.queue_p99", "rung.240p.queue_p50", "rung.240p.queue_p99",
-        "rung.360p.queue_p50", "rung.360p.queue_p99", "rung.480p.queue_p50",
-        "rung.480p.queue_p99", "rung.720p.queue_p50", "rung.720p.queue_p99",
-        "schema_version", "segments.lost", "segments.manifested",
-        "segments.released", "stall.p50", "stall.p99", "streams.completed",
-        "streams.started", "ttfs.p50", "ttfs.p90", "ttfs.p99",
-    ),
-    "canary-rollout": (
-        "cluster.completed_graphs", "cluster.corrupt_caught",
-        "cluster.hangs", "cluster.retries", "cluster.software_fallbacks",
-        "cluster.workers_quarantined", "cluster.workers_rehabilitated",
-        "conservation.ok", "delta.throughput_frac", "delta.unhealthy_frac",
-        "jobs.done", "jobs.failed", "jobs.shed", "jobs.submitted",
-        "rollout.candidate", "rollout.promoted",
-        "rollout.regression_detected", "rollout.rolled_back",
-        "rollout.stage", "schema_version",
-        "slice.baseline.mpix_per_vcu_s", "slice.baseline.unhealthy_frac",
-        "slice.baseline.vcus", "slice.canary.mpix_per_vcu_s",
-        "slice.canary.unhealthy_frac", "slice.canary.vcus",
-    ),
-    "chaos-campaign": (
-        "availability.exact", "campaign.blast_hosts", "campaign.repair_cap",
-        "cluster.corrupt_caught", "cluster.hangs", "cluster.host_evictions",
-        "cluster.retries", "cluster.software_fallbacks",
-        "cluster.workers_quarantined", "cluster.workers_rehabilitated",
-        "conservation.ok", "fleet.available_end", "fleet.disabled_by_sweeps",
-        "fleet.vcus", "jobs.completed", "jobs.submitted",
-        "repair.hosts_repaired", "schema_version", "steps.completed",
-        "sweeper.repairs_completed", "sweeper.repairs_started",
-        "sweeper.sweeps",
-    ),
-    "tuning-timeline": (
-        "bitrate_vs_software.h264", "bitrate_vs_software.vp9",
-        "decoder_util", "encoder_util", "milestones_shipped", "month",
-        "rc_efficiency.h264", "rc_efficiency.vp9", "schema_version",
-        "throughput_mpix_s", "total_megapixels", "vcu_workers",
-    ),
-    "surge-mix": (
-        "autoscale.actions", "autoscale.peak_slots",
-        "class.batch.completion_rate", "class.batch.done",
-        "class.batch.failed", "class.batch.queue_p50",
-        "class.batch.queue_p90", "class.batch.queue_p99",
-        "class.batch.retries", "class.batch.shed",
-        "class.batch.shed_rate", "class.batch.submitted",
-        "class.live.completion_rate", "class.live.done",
-        "class.live.failed", "class.live.queue_p50",
-        "class.live.queue_p90", "class.live.queue_p99",
-        "class.live.retries", "class.live.shed", "class.live.shed_rate",
-        "class.live.submitted", "class.upload.completion_rate",
-        "class.upload.done", "class.upload.failed",
-        "class.upload.queue_p50", "class.upload.queue_p90",
-        "class.upload.queue_p99", "class.upload.retries",
-        "class.upload.shed", "class.upload.shed_rate",
-        "class.upload.submitted", "conservation.ok", "dead_letter.count",
-        "event.end", "event.jobs_in_window", "event.start",
-        "failover.routed", "jobs.done", "jobs.failed", "jobs.shed",
-        "jobs.submitted", "scenario", "schema_version", "spill.routed",
-    ),
-}
+#: Per-scenario golden key sets: the CI gate's ground truth.  A mismatch
+#: means a scorecard changed shape without a version bump -- exactly the
+#: drift the catalog exists to catch.
+GOLDEN_KEYS = golden_scorecard_keys()
 
 
 class TestRegistration:
@@ -150,7 +62,7 @@ class TestRegistration:
             sources = source_hashes(project, closure_roots(experiment))
             named = {
                 "src/" + path.partition(":")[0].replace(".", "/") + ".py"
-                for path in (entry.run, entry.config, entry.keys) if path
+                for path in (entry.run, entry.config) if path
             }
             assert named | {
                 "src/repro/runner/experiments.py",
@@ -182,10 +94,6 @@ class TestRegistration:
 class TestGoldenScorecardKeys:
     def test_golden_covers_every_catalog_entry(self):
         assert set(GOLDEN_KEYS) == set(catalog.catalog_names())
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
-    def test_keys_match_golden(self, name):
-        assert catalog.scorecard_keys(name) == GOLDEN_KEYS[name]
 
 
 class TestSmokeRuns:

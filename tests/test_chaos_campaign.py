@@ -14,11 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.control.catalog import CHAOS_SEED
-from repro.control.chaos import (
-    ChaosCampaignConfig,
-    run_chaos_campaign,
-    scorecard_keys,
-)
+from repro.control.chaos import ChaosCampaignConfig, run_chaos_campaign
+from tests.conftest import golden_scorecard_keys
 
 
 class TestConfigValidation:
@@ -68,7 +65,8 @@ class TestRepresentativeArm:
         assert result.scorecard["availability.exact"] is True
 
     def test_scorecard_keys_are_exact(self, result):
-        assert tuple(sorted(result.scorecard)) == scorecard_keys()
+        keys = golden_scorecard_keys()["chaos-campaign"]
+        assert tuple(sorted(result.scorecard)) == keys
 
     def test_determinism_same_seed_same_scorecard(self, result):
         config = ChaosCampaignConfig(

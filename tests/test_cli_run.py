@@ -141,14 +141,30 @@ class TestBadInput:
         # A directory, or no path at all, names no file to write.
         pytest.param(["run", "--out", "."], id="run--out-dir"),
         pytest.param(["run", "--out", ""], id="run--out-empty"),
+        # The cache must be creatable as a directory: not "" (entries
+        # would land in the working directory), and not a file or a path
+        # under one (the run would fail only after computing the unit).
+        # The --only keeps a run that is wrongly accepted cheap.
+        pytest.param(["run", "--only", EXPERIMENT, "--cache-dir", ""],
+                     id="run--cache-dir-empty"),
+        pytest.param(
+            ["run", "--only", EXPERIMENT,
+             "--cache-dir", str(REPO_ROOT / "README.md")],
+            id="run--cache-dir-file",
+        ),
+        pytest.param(
+            ["run", "--only", EXPERIMENT,
+             "--cache-dir", str(REPO_ROOT / "README.md" / "cache")],
+            id="run--cache-dir-under-file",
+        ),
     ], ids=lambda argv: argv[0] + argv[1])
-    def test_rejected_at_parse_time_with_rc2(self, argv, capsys):
+    def test_rejected_at_parse_time_with_rc2(self, argv, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        command, flag, value = argv
+        command, flag, value = argv[0], argv[-2], argv[-1]
         assert err.splitlines()[-1].startswith(
             f"repro-bench {command}: error: argument {flag}: "
         )

@@ -4,7 +4,7 @@ The rollout state machine is covered transition by transition (including
 the illegal ones), and the scenario is run end to end for both release
 candidates: rc1 carries a real regression the scorecard deltas must
 catch and roll back; rc2 soaks clean and must promote.  Both runs gate
-the job ledger's conservation invariant and the static scorecard keys.
+the job ledger's conservation invariant and the golden scorecard keys.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from repro.control.canary import (
     IllegalRolloutTransition,
     RolloutStage,
     run_canary_rollout,
-    scorecard_keys,
 )
 from repro.control.catalog import CANARY_SEED, CANARY_SMOKE_HORIZON_SECONDS
 from repro.vcu.firmware import firmware_release
+from tests.conftest import golden_scorecard_keys
 
 
 class TestRolloutStateMachine:
@@ -115,7 +115,8 @@ class TestRegressiveCandidate:
         assert report["nonterminal"] == []
 
     def test_scorecard_keys_are_exact(self, result):
-        assert tuple(sorted(result.scorecard)) == scorecard_keys()
+        keys = golden_scorecard_keys()["canary-rollout"]
+        assert tuple(sorted(result.scorecard)) == keys
 
 
 class TestCleanCandidate:

@@ -11,9 +11,9 @@ from repro.control.scenario import (
     ScenarioConfig,
     build_scorecard,
     run_global_platform_day,
-    scorecard_keys,
 )
 from repro.sim.engine import Simulator
+from tests.conftest import golden_scorecard_keys
 
 
 def two_sites(slots=2):
@@ -196,7 +196,8 @@ class TestScenario:
         )
 
     def test_scorecard_keys_are_exact(self, result):
-        assert tuple(sorted(result.scorecard)) == scorecard_keys()
+        keys = golden_scorecard_keys()["platform-day"]
+        assert tuple(sorted(result.scorecard)) == keys
 
     def test_conservation_invariant(self, result):
         card = result.scorecard
@@ -311,3 +312,18 @@ class TestAutoscale:
         plane = ControlPlane(sim, two_sites())
         with pytest.raises(RuntimeError):
             plane.start_autoscaler(until=10.0)
+
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_interval_must_be_finite_and_positive(self, interval):
+        # A zero interval would tick forever at one timestamp and a NaN
+        # one would never tick; both platform-day scenarios build their
+        # plane here, so the plane is where the interval is checked.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="autoscale_interval_seconds"):
+            ControlPlane(
+                sim, two_sites(),
+                autoscale=CapacityAutoscaleConfig(),
+                autoscale_interval_seconds=interval,
+            )

@@ -3,18 +3,21 @@
 Locks the contract the CI scenario-smoke job relies on: the experiment
 exists with both arms (healthy and regional-outage), its smoke manifest
 is byte-identical at any ``--jobs`` (the driver-level determinism
-guarantee), and every run's scorecard carries the exact key set from
-:func:`repro.control.live_ladder.scorecard_keys`.
+guarantee), and every run's scorecard carries exactly its golden key
+set.  The ``rung.*`` keys follow the live source's ladder, so a run at
+another source checks that part of the key set too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.control.live_ladder import LiveLadderConfig, scorecard_keys
+from repro.control.catalog import LIVE_LADDER_SEED
+from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
 from repro.runner.executor import run_experiments
 from repro.runner.manifest import build_manifest, manifest_text
 from repro.runner import default_registry
+from tests.conftest import golden_scorecard_keys
 
 NAME = "live-ladder"
 
@@ -70,7 +73,7 @@ class TestSmokeRun:
         assert len(smoke_runs) == 1 and len(smoke_runs[0].results) == 2
         for result in smoke_runs[0].results:
             card = result["scorecard"]
-            assert tuple(sorted(card)) == scorecard_keys()
+            assert tuple(sorted(card)) == golden_scorecard_keys()[NAME]
             assert card["conservation.ok"] is True
 
     def test_no_segment_is_lost_in_either_arm(self, smoke_runs):
@@ -106,3 +109,21 @@ class TestSmokeRun:
             default_registry(), names=[NAME], smoke=True, jobs=2
         )
         assert manifest_text(build_manifest(sharded.runs)) == serial
+
+
+class TestRungKeys:
+    def test_rung_keys_follow_the_live_source_ladder(self):
+        config = LiveLadderConfig(horizon_seconds=60.0, live_source="720p")
+        card = run_live_ladder(config, seed=LIVE_LADDER_SEED).scorecard
+        rung_keys = sorted(key for key in card if key.startswith("rung."))
+        assert rung_keys == sorted(
+            f"rung.{rung}.{quantile}"
+            for rung in config.rung_names()
+            for quantile in ("queue_p50", "queue_p99")
+        )
+        assert "1080p" not in config.rung_names()
+        # Every other key is the golden set's: only the ladder moved.
+        golden = golden_scorecard_keys()[NAME]
+        assert sorted(set(card) - set(rung_keys)) == [
+            key for key in golden if not key.startswith("rung.")
+        ]

@@ -3,17 +3,17 @@
 Locks the contract the CI scenario-smoke job relies on: the experiment
 exists with both arms, its smoke manifest is byte-identical at any
 ``--jobs`` (the runner's determinism guarantee), and every run's
-scorecard carries the exact key set from :func:`scorecard_keys`.
+scorecard carries exactly its golden key set.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.control.scenario import scorecard_keys
 from repro.runner.executor import run_experiments
 from repro.runner.manifest import build_manifest, manifest_text
 from repro.runner import default_registry
+from tests.conftest import golden_scorecard_keys
 
 NAME = "platform-day"
 
@@ -45,7 +45,7 @@ class TestSmokeRun:
         assert len(smoke_runs) == 1 and len(smoke_runs[0].results) == 2
         for result in smoke_runs[0].results:
             card = result["scorecard"]
-            assert tuple(sorted(card)) == scorecard_keys()
+            assert tuple(sorted(card)) == golden_scorecard_keys()[NAME]
             assert card["conservation.ok"] is True
 
     def test_outage_arm_fails_over_and_sheds_in_order(self, smoke_runs):

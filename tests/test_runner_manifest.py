@@ -9,7 +9,6 @@ from repro.runner.executor import ExperimentRun, RunStats
 from repro.runner.manifest import (
     DEFAULT_MANIFEST_NAME,
     build_manifest,
-    dump_json,
     manifest_text,
     render_markdown,
     render_stats,
@@ -57,12 +56,13 @@ class TestManifest:
         assert text.index('"benchmark"') < text.index('"experiments"')
 
     def test_write_and_dump_are_the_same_bytes(self, tmp_path):
+        # The file write_manifest writes is exactly the manifest's dump,
+        # manifest_text, and those bytes read back as the manifest.
         manifest = build_manifest([make_run()])
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_manifest(str(a), manifest)
-        dump_json(str(b), manifest)
-        assert a.read_bytes() == b.read_bytes()
-        assert json.loads(a.read_text()) == manifest
+        path = tmp_path / "m.json"
+        write_manifest(str(path), manifest)
+        assert path.read_bytes() == manifest_text(manifest).encode("utf-8")
+        assert json.loads(path.read_bytes()) == manifest
 
     def test_default_name_matches_this_pr(self):
         # The one manifest name: the committed manifest CI's full gate
