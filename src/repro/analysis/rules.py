@@ -613,8 +613,8 @@ class HygieneRule(Rule):
 
     A mutable default is shared across every call -- in a fleet model
     that means cross-run state leaking between supposedly independent
-    simulations.  A bare ``except:`` swallows the engine's ``Interrupt``
-    (what ``Process.interrupt`` throws into a process) and
+    simulations.  A bare ``except:`` swallows ``GeneratorExit`` (what
+    closing a simulation process's generator throws into it) and
     ``KeyboardInterrupt`` alike.
     """
 
@@ -644,7 +644,7 @@ class HygieneRule(Rule):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield ctx.finding(
                     self.id, node,
-                    "bare 'except:' swallows Interrupt/KeyboardInterrupt; "
+                    "bare 'except:' swallows GeneratorExit/KeyboardInterrupt; "
                     "name the exceptions you mean",
                 )
 

@@ -38,7 +38,8 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.obs.latency import LadderMetrics
+from repro.obs.latency import QUEUE_WAIT_BOUNDS
+from repro.obs.registry import MetricsRegistry
 from repro.cluster.health import HealthState
 from repro.cluster.metrics import ThroughputWindow
 from repro.cluster.scheduler import BinPackingScheduler, SingleSlotScheduler
@@ -60,6 +61,16 @@ from repro.sim.rng import SeedLike, make_rng
 from repro.transcode.pipeline import Step, StepGraph
 from repro.vcu.host import VcuHost
 from repro.vcu.telemetry import FaultKind
+
+
+#: :class:`ClusterStats`' event counters, in field order; the hub reports
+#: each as ``cluster.<name>``.
+CLUSTER_COUNTERS: Tuple[str, ...] = (
+    "completed_steps", "failed_placements", "retries", "software_fallbacks",
+    "opportunistic_fallbacks", "corrupt_caught", "corrupt_escaped",
+    "completed_graphs", "hangs_detected", "workers_quarantined",
+    "workers_rehabilitated", "workers_disabled", "host_evictions",
+)
 
 
 @dataclass
@@ -95,26 +106,20 @@ class ClusterStats:
     def counter_snapshot(self) -> Dict[str, object]:
         """Every deterministic counter, hashable -- for reproducibility
         checks (two same-seed runs must produce identical snapshots)."""
-        return {
-            "completed_steps": self.completed_steps,
-            "failed_placements": self.failed_placements,
-            "retries": self.retries,
-            "software_fallbacks": self.software_fallbacks,
-            "opportunistic_fallbacks": self.opportunistic_fallbacks,
-            "corrupt_caught": self.corrupt_caught,
-            "corrupt_escaped": self.corrupt_escaped,
-            "completed_graphs": self.completed_graphs,
-            "hangs_detected": self.hangs_detected,
-            "workers_quarantined": self.workers_quarantined,
-            "workers_rehabilitated": self.workers_rehabilitated,
-            "workers_disabled": self.workers_disabled,
-            "host_evictions": self.host_evictions,
-            "backoff_delay_seconds": round(self.backoff_delay_seconds, 9),
-            "graph_latencies": tuple(round(l, 9) for l in self.graph_latencies),
-            "per_vcu_megapixels": tuple(
-                sorted((k, round(v, 9)) for k, v in self.per_vcu_megapixels.items())
-            ),
+        snapshot: Dict[str, object] = {
+            name: getattr(self, name) for name in CLUSTER_COUNTERS
         }
+        snapshot["backoff_delay_seconds"] = round(self.backoff_delay_seconds, 9)
+        snapshot["graph_latencies"] = tuple(round(l, 9) for l in self.graph_latencies)
+        snapshot["per_vcu_megapixels"] = tuple(
+            sorted((k, round(v, 9)) for k, v in self.per_vcu_megapixels.items())
+        )
+        return snapshot
+
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """The event counters that moved, as ``cluster.*`` metrics."""
+        counts = ((name, getattr(self, name)) for name in CLUSTER_COUNTERS)
+        return {f"cluster.{name}": float(count) for name, count in counts if count}
 
 
 class TranscodeCluster:
@@ -170,27 +175,19 @@ class TranscodeCluster:
         #: Invoked once per completed step (streaming-ladder sessions use
         #: this to drive manifest alignment barriers); set post-construction
         #: by :class:`~repro.transcode.streaming.LadderDispatcher`.
-        self.on_step_done: Optional[Callable[[Step, bool], None]] = None
+        self.on_step_done: Optional[Callable[[Step], None]] = None
         #: When set, segment steps record per-rung queue waits here.
-        self.ladder_metrics: Optional[LadderMetrics] = None
+        self.ladder_metrics: Optional[MetricsRegistry] = None
         self.stats = ClusterStats(throughput=ThroughputWindow(start_time=sim.now))
-        # When an observability hub is installed, bind it to this run's
-        # virtual clock (and the engine's active-process context) so
-        # spans emitted by clockless components -- workers, schedulers,
-        # devices -- still carry correct virtual timestamps.
+        # An installed observability hub reads this cluster's own record
+        # (attached below, once the telemetry exists), so it must not
+        # hold another cluster's already.
         hub = obs.active()
-        if hub is not None:
-            encoder = hub.metrics.time_gauge("cluster.encoder_util", sim.now)
-            recorded = encoder.last_time
-            if recorded > sim.now:
-                raise RuntimeError(
-                    "the installed observability hub already holds cluster"
-                    f" utilization up to t={recorded:g}, past this simulation's"
-                    f" clock (t={sim.now:g}); install a fresh hub per simulation"
-                    " (obs.installed())"
-                )
-            hub.bind_clock(lambda: self.sim.now, lambda: self.sim.active_process_name)
-            hub.metrics.time_gauge("cluster.decoder_util", sim.now)
+        if hub is not None and "cluster.encoder_util" in hub.metrics:
+            raise RuntimeError(
+                "the installed observability hub already records another"
+                " cluster; install a fresh hub per simulation (obs.installed())"
+            )
         self._rng = make_rng(seed)
         # Lane-segregated pending queues (see _drain_pending); the global
         # arrival sequence number preserves cross-lane FIFO order.
@@ -240,6 +237,14 @@ class TranscodeCluster:
         self.decoder_util = self.telemetry.decoder_util
         for worker in self.vcu_workers:
             worker.on_availability_change = self.note_availability_changed
+        if hub is not None:
+            # Bind the hub to this run's virtual clock (and the engine's
+            # active-process context) so spans emitted by clockless
+            # components -- workers, schedulers, devices -- still carry
+            # correct virtual timestamps.
+            hub.bind_clock(lambda: self.sim.now, lambda: self.sim.active_process_name)
+            hub.metrics.attach(self.stats)
+            hub.metrics.attach(self.telemetry.metrics)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -261,17 +266,6 @@ class TranscodeCluster:
     @property
     def pending_count(self) -> int:
         return sum(len(lane) for lane in self._pending_lanes.values())
-
-    @staticmethod
-    def _count(name: str, amount: float = 1.0) -> None:
-        """Mirror a ClusterStats increment into the installed registry.
-
-        Reduces to one global load + None check when no hub is
-        installed, keeping the execution hot path unaffected.
-        """
-        hub = obs.active()
-        if hub is not None:
-            hub.count(name, amount)
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -384,7 +378,6 @@ class TranscodeCluster:
         # No hardware path remains and no software fallback exists: a
         # genuine placement failure, not a wait-for-capacity event.
         self.stats.failed_placements += 1
-        self._count("cluster.failed_placements")
         return False
 
     def _try_software_fallback(self, step: Step, opportunistic: bool) -> bool:
@@ -399,12 +392,10 @@ class TranscodeCluster:
             self.stats.opportunistic_fallbacks += 1
         hub = obs.active()
         if hub is not None:
-            hub.count("cluster.software_fallbacks")
             attrs: Dict[str, object] = {
                 "worker": worker.name, "attempt": step.attempts + 1,
             }
             if opportunistic:
-                hub.count("cluster.opportunistic_fallbacks")
                 attrs["opportunistic"] = True
             hub.emit("fallback", step.step_id, t0=self.sim.now, attrs=attrs)
         self._start_cpu_transcode(step, worker, request)
@@ -486,11 +477,9 @@ class TranscodeCluster:
         """
         if self.ladder_metrics is None or step.rung is None:
             return
-        wait = self.sim.now - step.ready_at
-        self.ladder_metrics.observe_queue_wait(step.rung, wait)
-        hub = obs.active()
-        if hub is not None:
-            hub.observe(f"ladder.queue_wait.{step.rung}", wait)
+        self.ladder_metrics.histogram(
+            f"ladder.queue_wait.{step.rung}", QUEUE_WAIT_BOUNDS
+        ).observe(self.sim.now - step.ready_at)
 
     def _emit_step(
         self, step: Step, worker_name: str, pool: str, started: float, outcome: str
@@ -521,7 +510,6 @@ class TranscodeCluster:
                 # (Section 4.4's black-holing mitigation).  The abort is a
                 # device reset, so it lands in telemetry too.
                 self.stats.corrupt_caught += 1
-                self._count("cluster.corrupt_caught")
                 self._emit_step(step, worker.name, "vcu", started, "corrupt_caught")
                 worker.vcu.telemetry.record(FaultKind.RESET, at_time=self.sim.now)
                 if worker.abort_and_quarantine():
@@ -531,7 +519,6 @@ class TranscodeCluster:
                 return
             step.corrupt_output = True
             self.stats.corrupt_escaped += 1
-            self._count("cluster.corrupt_escaped")
         self._emit_step(
             step, worker.name, "vcu", started,
             "corrupt_escaped" if step.corrupt_output else "ok",
@@ -544,7 +531,6 @@ class TranscodeCluster:
         self.stats.hangs_detected += 1
         hub = obs.active()
         if hub is not None:
-            hub.count("cluster.hangs_detected")
             hub.emit(
                 "hang", step.step_id, t0=self.sim.now,
                 attrs={"worker": worker.name, "attempt": step.attempts},
@@ -564,7 +550,6 @@ class TranscodeCluster:
             self.stats.backoff_delay_seconds += delay
         hub = obs.active()
         if hub is not None:
-            hub.count("cluster.retries")
             hub.observe("cluster.backoff_seconds", delay)
             hub.emit(
                 "retry", step.step_id, t0=self.sim.now,
@@ -598,7 +583,6 @@ class TranscodeCluster:
 
     def _note_quarantine(self, worker: VcuWorker) -> None:
         self.stats.workers_quarantined += 1
-        self._count("cluster.workers_quarantined")
         self._spawn_rehab(worker)
 
     def _spawn_rehab(self, worker: VcuWorker) -> None:
@@ -632,7 +616,6 @@ class TranscodeCluster:
                         continue
                     if worker.finish_rescreen():
                         self.stats.workers_rehabilitated += 1
-                        self._count("cluster.workers_rehabilitated")
                         self._drain_pending()
                         return
                     worker.vcu.telemetry.record(
@@ -640,7 +623,6 @@ class TranscodeCluster:
                     )
                     if worker.health is HealthState.DISABLED:
                         self.stats.workers_disabled += 1
-                        self._count("cluster.workers_disabled")
                         return
                     delay *= policy.rescreen_backoff
             finally:
@@ -667,7 +649,6 @@ class TranscodeCluster:
         self.stats.host_evictions += 1
         hub = obs.active()
         if hub is not None:
-            hub.count("cluster.host_evictions")
             hub.emit("host", "evict", t0=self.sim.now, attrs={"host": host.host_id})
 
     def on_host_repaired(self, host: VcuHost) -> None:
@@ -735,7 +716,6 @@ class TranscodeCluster:
         self._done.add(id(step))
         self._vcu_requests.pop(id(step), None)
         self.stats.completed_steps += 1
-        self._count("cluster.completed_steps")
         if step.is_transcode() and not corrupt:
             megapixels = step.vcu_task.output_pixels / 1e6
             self.stats.throughput.record(megapixels)
@@ -743,7 +723,7 @@ class TranscodeCluster:
                 per_vcu = self.stats.per_vcu_megapixels
                 per_vcu[step.processed_by] = per_vcu.get(step.processed_by, 0.0) + megapixels
         if self.on_step_done is not None:
-            self.on_step_done(step, corrupt)
+            self.on_step_done(step)
         for dependent in self._dependents.get(id(step), []):
             self._remaining_deps[id(dependent)] -= 1
             if self._remaining_deps[id(dependent)] == 0:
@@ -762,7 +742,6 @@ class TranscodeCluster:
             self.stats.graph_latencies.append(latency)
             hub = obs.active()
             if hub is not None:
-                hub.count("cluster.completed_graphs")
                 self.telemetry.note_graph_latency(latency)
                 hub.emit(
                     "graph", graph.video_id,

@@ -7,7 +7,11 @@ per-worker utilization table those means are taken over, in the fleet
 rows of the cluster's availability mask, and records every mean as
 ``float(np.add.reduce(rows[mask])) / n`` bit for bit -- the value a
 walk over every live worker computes -- without re-reducing every live
-row each time.
+row each time.  The two series are the ``cluster.encoder_util`` and
+``cluster.decoder_util`` time gauges of its own
+:class:`~repro.obs.registry.MetricsRegistry`, which the cluster attaches
+to an installed observability hub: the hub reads them, it does not keep
+a copy.
 
 :class:`LiveSums` makes that cheap.  For a contiguous 1-D float64 array
 ``np.add.reduce`` is numpy's pairwise sum: a span of at most 128 values
@@ -30,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cluster.metrics import UtilizationTracker
+from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import VcuWorker
@@ -147,8 +151,7 @@ class FleetTelemetry:
     each VCU step admission and release, :meth:`note_graph_latency` once
     per completed graph, and ``live.mark_stale()`` when a worker's
     availability flips.  Every record lands in :attr:`encoder_util` and
-    :attr:`decoder_util` and, when an observability hub is installed, in
-    its ``cluster.encoder_util``/``cluster.decoder_util`` time gauges.
+    :attr:`decoder_util`, the time gauges of :attr:`metrics`.
     """
 
     def __init__(
@@ -160,8 +163,9 @@ class FleetTelemetry:
     ):
         self.sim = sim
         self._row_of = row_of
-        self.encoder_util = UtilizationTracker(sim.now)
-        self.decoder_util = UtilizationTracker(sim.now)
+        self.metrics = MetricsRegistry()
+        self.encoder_util = self.metrics.time_gauge("cluster.encoder_util", sim.now)
+        self.decoder_util = self.metrics.time_gauge("cluster.decoder_util", sim.now)
         # Only an admit or a release changes a worker's usage, and each
         # re-reads just that worker, so a record reads this table, not
         # the workers.
@@ -203,11 +207,5 @@ class FleetTelemetry:
         if not n:
             return
         now = self.sim.now
-        encoder = encoder_sum / n
-        decoder = decoder_sum / n
-        self.encoder_util.record(now, encoder)
-        self.decoder_util.record(now, decoder)
-        hub = obs.active()
-        if hub is not None:
-            hub.metrics.time_gauge("cluster.encoder_util").set(now, encoder)
-            hub.metrics.time_gauge("cluster.decoder_util").set(now, decoder)
+        self.encoder_util.record(now, encoder_sum / n)
+        self.decoder_util.record(now, decoder_sum / n)

@@ -31,8 +31,7 @@ from repro.control.plane import ControlPlane, make_sites
 from repro.control.scenario import job_fields
 from repro.control.streaming import StreamingExecutor
 from repro.failures.injector import FaultInjector
-from repro.obs.latency import QUEUE_WAIT_BOUNDS, LadderMetrics
-from repro.obs.registry import Histogram
+from repro.obs.latency import QUEUE_WAIT_BOUNDS, STALL_BOUNDS, TTFS_BOUNDS
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike, split_rng
 from repro.transcode.streaming import LadderDispatcher
@@ -128,7 +127,6 @@ class LiveLadderResult:
     plane: ControlPlane
     cluster: TranscodeCluster
     dispatcher: LadderDispatcher
-    metrics: LadderMetrics
     requests: List[JobRequest]
     end_time: float
     scorecard: Dict[str, Any]
@@ -172,27 +170,38 @@ def build_scorecard(
     dispatcher: LadderDispatcher,
     rungs: Sequence[str],
 ) -> Dict[str, Any]:
-    """The flat latency scorecard, keys sorted, values rounded."""
+    """The flat latency scorecard, keys sorted, values rounded.
+
+    Every ladder figure is a query over the dispatcher's ``ladder.*``
+    registry; a count or histogram that recorded nothing reads zero.
+    """
     metrics = dispatcher.metrics
+
+    def count(name: str) -> int:
+        return int(metrics.counter(f"ladder.{name}").value)
+
     card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
     card.update(job_fields(plane, _CLASSES, _PER_CLASS_FIELDS))
-    card["streams.started"] = metrics.streams_started
-    card["streams.completed"] = metrics.streams_completed
-    card["segments.released"] = metrics.segments_released
-    card["segments.manifested"] = metrics.manifests_emitted
-    lost = metrics.segments_released - metrics.manifests_emitted
+    card["streams.started"] = count("streams.started")
+    card["streams.completed"] = count("streams.completed")
+    released = count("segments.released")
+    manifested = count("manifests.emitted")
+    lost = released - manifested
+    card["segments.released"] = released
+    card["segments.manifested"] = manifested
     card["segments.lost"] = lost
-    card["ttfs.p50"] = round(metrics.ttfs.quantile(0.50), 9)
-    card["ttfs.p90"] = round(metrics.ttfs.quantile(0.90), 9)
-    card["ttfs.p99"] = round(metrics.ttfs.quantile(0.99), 9)
-    card["stall.p50"] = round(metrics.manifest_stall.quantile(0.50), 9)
-    card["stall.p99"] = round(metrics.manifest_stall.quantile(0.99), 9)
-    card["deadline.tracked"] = metrics.deadlines_tracked
-    card["deadline.missed"] = metrics.deadlines_missed
-    card["deadline.miss_rate"] = round(
-        metrics.deadlines_missed / metrics.deadlines_tracked
-        if metrics.deadlines_tracked else 0.0, 6
-    )
+    ttfs = metrics.histogram("ladder.ttfs_seconds", TTFS_BOUNDS)
+    card["ttfs.p50"] = round(ttfs.quantile(0.50), 9)
+    card["ttfs.p90"] = round(ttfs.quantile(0.90), 9)
+    card["ttfs.p99"] = round(ttfs.quantile(0.99), 9)
+    stall = metrics.histogram("ladder.manifest_stall_seconds", STALL_BOUNDS)
+    card["stall.p50"] = round(stall.quantile(0.50), 9)
+    card["stall.p99"] = round(stall.quantile(0.99), 9)
+    tracked = count("deadlines.tracked")
+    missed = count("deadlines.missed")
+    card["deadline.tracked"] = tracked
+    card["deadline.missed"] = missed
+    card["deadline.miss_rate"] = round(missed / tracked if tracked else 0.0, 6)
     card["fallback.software"] = cluster.stats.software_fallbacks
     card["fallback.opportunistic"] = cluster.stats.opportunistic_fallbacks
     card["cluster.retries"] = cluster.stats.retries
@@ -205,10 +214,8 @@ def build_scorecard(
         and lost == 0
         and not dispatcher.unfinished()
     )
-    # A rung that saw no work reads an empty histogram: 0.0.
-    empty = Histogram("ladder.queue_wait.empty", QUEUE_WAIT_BOUNDS)
     for rung in rungs:
-        histogram = metrics.queue_wait.get(rung, empty)
+        histogram = metrics.histogram(f"ladder.queue_wait.{rung}", QUEUE_WAIT_BOUNDS)
         card[f"rung.{rung}.queue_p50"] = round(histogram.quantile(0.50), 9)
         card[f"rung.{rung}.queue_p99"] = round(histogram.quantile(0.99), 9)
     return dict(sorted(card.items()))
@@ -281,7 +288,6 @@ def run_live_ladder(
         plane=plane,
         cluster=cluster,
         dispatcher=dispatcher,
-        metrics=dispatcher.metrics,
         requests=requests,
         end_time=sim.now,
         scorecard=build_scorecard(plane, cluster, dispatcher, rungs),

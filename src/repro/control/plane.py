@@ -210,14 +210,32 @@ class ControlPlane:
         self.drained_running = 0
         self.outages_started = 0
         self.peak_capacity = self.router.total_capacity()
+        hub = obs.active()
+        if hub is not None:
+            hub.metrics.attach(self)
 
     # ------------------------------------------------------------------ #
     # Accounting helpers
 
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        hub = obs.active()
-        if hub is not None:
-            hub.count(name, amount)
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """The plane's own record as ``control.*`` metrics.
+
+        The ledger's per-class counts, the retries, the queue-wait
+        histograms, the outages and the autoscaler's actions; an entry
+        that recorded nothing is absent.
+        """
+        flat: Dict[str, float] = {}
+        for label, counts in self.class_counts().items():
+            for field, count in counts.items():
+                if count:
+                    flat[f"control.{field}.{label}"] = float(count)
+        for histogram in self.queue_wait.values():
+            flat.update(histogram.snapshot(now))
+        if self.outages_started:
+            flat["control.outages"] = float(self.outages_started)
+        if self._autoscaler is not None and self._autoscaler.actions:
+            flat["control.autoscale_actions"] = float(self._autoscaler.actions)
+        return flat
 
     def _waiting_total(self) -> int:
         return len(self.parked) + sum(
@@ -243,7 +261,6 @@ class ControlPlane:
         """Register one arriving job and push it through admission."""
         job = Job(request)
         self.ledger.register(job)
-        self._count(f"control.submitted.{job.slo_class.label}")
         self._try_admit(job, reason="arrival")
         return job
 
@@ -266,13 +283,14 @@ class ControlPlane:
         self.ledger.transition(job, JobState.ADMITTED, self.sim.now, reason)
         job.site = site.name
         site.queue.push(job)
-        self._count(f"control.admitted.{job.slo_class.label}")
+        hub = obs.active()
+        if hub is not None:
+            hub.count(f"control.admitted.{job.slo_class.label}")
         self._dispatch(site)
 
     def _shed(self, job: Job, reason: str) -> None:
         self.ledger.transition(job, JobState.SHED, self.sim.now, reason)
         job.site = None
-        self._count(f"control.shed.{job.slo_class.label}")
         hub = obs.active()
         if hub is not None:
             hub.emit(
@@ -312,13 +330,6 @@ class ControlPlane:
         if ok:
             self.ledger.transition(job, JobState.DONE, self.sim.now, "complete")
             self.queue_wait[job.slo_class].observe(job.queue_seconds)
-            self._count(f"control.done.{job.slo_class.label}")
-            hub = obs.active()
-            if hub is not None:
-                hub.observe(
-                    f"control.queue_wait.{job.slo_class.label}",
-                    job.queue_seconds, bounds=QUEUE_WAIT_BOUNDS,
-                )
         else:
             self._fail_attempt(job, reason="execution_fault")
         if site is not None and site.up:
@@ -331,12 +342,10 @@ class ControlPlane:
             self.ledger.transition(job, JobState.FAILED, self.sim.now, reason)
             self.dead_letters.record(job, self.sim.now, reason)
             job.site = None
-            self._count(f"control.failed.{job.slo_class.label}")
             return
         self.ledger.transition(job, JobState.RETRY_WAIT, self.sim.now, reason)
         job.site = None
         self.retries[job.slo_class] += 1
-        self._count(f"control.retries.{job.slo_class.label}")
         delay = self.retry.delay_for(job.attempts)
         self.sim.call_in(delay, lambda: self._retry_requeue(job))
 
@@ -365,7 +374,6 @@ class ControlPlane:
         queued, running = self.router.mark_down(site_name)
         hub = obs.active()
         if hub is not None:
-            hub.count("control.outages")
             hub.emit(
                 "outage", site_name, t0=self.sim.now,
                 attrs={
@@ -454,7 +462,6 @@ class ControlPlane:
                 )
                 if new_slots != site.slots:
                     site.slots = new_slots
-                    self._count("control.autoscale_actions")
                     self._dispatch(site)
             self._note_capacity()
 

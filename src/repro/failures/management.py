@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Deque, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro import obs
 from repro.sim.engine import Process, Simulator
@@ -145,7 +145,8 @@ class FailureSweeper:
     queueing hosts), start repairs up to the cap, and model each repair as
     taking ``repair_seconds`` of technician time with the host drained.
     When a ``cluster`` is attached, repaired hosts are handed back so the
-    cluster re-screens their workers before they serve again.
+    cluster re-screens their workers before they serve again.  Built under
+    an observability hub, it attaches its tallies to the hub's registry.
     """
 
     def __init__(
@@ -168,6 +169,17 @@ class FailureSweeper:
         self.sweeps = 0
         self.repairs_started = 0
         self.repairs_completed = 0
+        hub = obs.active()
+        if hub is not None:
+            hub.metrics.attach(self)
+
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """Sweeps and completed repairs as ``fleet.*`` metrics (zeros absent)."""
+        counts = {
+            "fleet.sweeps": self.sweeps,
+            "fleet.repairs_completed": self.repairs_completed,
+        }
+        return {name: float(count) for name, count in counts.items() if count}
 
     def start(self, until: float) -> Process:
         """Run periodic sweeps until the ``until`` horizon (sim time)."""
@@ -184,7 +196,6 @@ class FailureSweeper:
                 self.cluster.on_vcus_disabled(newly_disabled)
             hub = obs.active()
             if hub is not None:
-                hub.count("fleet.sweeps")
                 hub.emit(
                     "sweep", "telemetry", t0=self.sim.now,
                     attrs={"disabled": sorted(newly_disabled)},
@@ -204,7 +215,6 @@ class FailureSweeper:
         self.repairs_completed += 1
         hub = obs.active()
         if hub is not None:
-            hub.count("fleet.repairs_completed")
             hub.emit(
                 "repair", host.host_id, t0=started, t1=self.sim.now,
                 attrs={"host": host.host_id},

@@ -16,6 +16,17 @@ firmware reduces to one module-global load plus a ``None`` check when no
 hub is installed -- codec/benchmark hot paths pay (almost) nothing for
 the plumbing.
 
+Each fact is recorded once.  A component that keeps its own count --
+the cluster's ``ClusterStats`` and utilization series, the ladder
+dispatcher's ``ladder.*`` registry, the control plane's ledger and
+histograms, the failure sweeper's tallies -- attaches that record to the
+hub's registry when it is built under a hub
+(:meth:`~repro.obs.registry.MetricsRegistry.attach`), and the hub's
+snapshot reads it there.  The hub's own instruments hold only what no
+component keeps: placements (``sched.*``), health transitions, device
+flips, firmware dispatches, fault-domain correlation, admissions and
+recoveries, and the step-seconds, backoff and graph-latency histograms.
+
 Usage::
 
     from repro import obs
@@ -49,7 +60,6 @@ from repro.obs.registry import (
     TimeWeightedGauge,
     UtilizationTracker,
 )
-from repro.obs.latency import LadderMetrics
 from repro.obs.trace import TraceLog, TraceSpan
 
 __all__ = [
@@ -58,7 +68,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LadderMetrics",
     "TimeWeightedGauge",
     "UtilizationTracker",
     "TraceLog",

@@ -9,14 +9,18 @@ stack.  Three instrument families cover the fleet's needs:
 * :class:`Histogram` -- fixed-bucket distributions (step seconds, backoff
   delays).  Buckets are upper bounds with an implicit +inf overflow
   bucket, so two histograms with the same bounds merge exactly.
-* :class:`TimeWeightedGauge` -- a gauge integrated over *virtual* time via
-  :class:`UtilizationTracker` (which lives here now; the cluster's
-  utilization accounting builds on the same primitive).
+* :class:`TimeWeightedGauge` -- a named :class:`UtilizationTracker`, a
+  gauge integrated over *virtual* time (the cluster's utilization series
+  are two of them).
 
 A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
-dotted name.  ``snapshot()`` renders everything into one flat dict -- the
-exchange format the benchmark jobs archive (``BENCH_PR2.json``) and the
-reconciliation tests diff against :class:`~repro.cluster.cluster.ClusterStats`.
+dotted name.  :meth:`MetricsRegistry.attach` includes a record the
+registry does not own -- another registry, or anything with
+``snapshot(now)`` -- so a component counts each event once, in its own
+record, and the hub reads it there.  ``snapshot()`` renders everything
+into one flat sorted dict: the exchange format CI archives from the
+failure drill (``BENCH_PR10-drill.json``) and the golden
+``tests/golden/obs_drill_metrics.json`` pins.
 """
 
 from __future__ import annotations
@@ -96,6 +100,10 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += amount
 
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """``{name: value}``; empty while the count is zero."""
+        return {self.name: round(float(self.value), 9)} if self.value else {}
+
 
 class Gauge:
     """A last-value-wins sample."""
@@ -108,6 +116,9 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
+
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        return {self.name: round(self.value, 9)}
 
 
 class Histogram:
@@ -173,6 +184,19 @@ class Histogram:
             out.append(running)
         return out
 
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """``name.count``, ``name.sum`` and one cumulative ``name.le.<bound>``
+        entry per bucket; empty before the first observation."""
+        if not self.total:
+            return {}
+        flat = {f"{self.name}.count": float(self.total),
+                f"{self.name}.sum": round(self.sum, 9)}
+        cumulative = self.cumulative()
+        for bound, running in zip(self.bounds, cumulative):
+            flat[f"{self.name}.le.{bound:g}"] = float(running)
+        flat[f"{self.name}.le.inf"] = float(cumulative[-1])
+        return flat
+
     def merge(self, other: "Histogram") -> "Histogram":
         """Bucketwise sum; both histograms must share bounds."""
         if self.bounds != other.bounds:
@@ -184,28 +208,21 @@ class Histogram:
         return merged
 
 
-class TimeWeightedGauge:
-    """A gauge whose average is weighted by virtual time between sets."""
-
-    __slots__ = ("name", "_tracker")
+class TimeWeightedGauge(UtilizationTracker):
+    """A named tracker: a gauge whose average is weighted by virtual
+    time between sets."""
 
     def __init__(self, name: str, start_time: float = 0.0) -> None:
+        super().__init__(start_time)
         self.name = name
-        self._tracker = UtilizationTracker(start_time)
 
     def set(self, now: float, value: float) -> None:
-        self._tracker.record(now, float(value))
+        self.record(now, float(value))
 
-    def average(self, now: Optional[float] = None) -> float:
-        return self._tracker.average(now)
-
-    @property
-    def current(self) -> float:
-        return self._tracker.current
-
-    @property
-    def last_time(self) -> float:
-        return self._tracker.last_time
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
+        """``name.avg`` (up to ``now`` when given) and ``name.current``."""
+        return {f"{self.name}.avg": round(self.average(now), 9),
+                f"{self.name}.current": round(self.current, 9)}
 
 
 class MetricsRegistry:
@@ -213,18 +230,44 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram``/``time_gauge`` get-or-create; a
     name registered as one instrument type cannot be re-registered as
-    another (that is always a wiring bug, so it raises).
+    another (that is always a wiring bug, so it raises).  The accessors
+    also find the instruments of an attached registry, so a name has one
+    instrument wherever it is looked up.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
+        self._sources: List[Any] = []
+
+    def attach(self, source: Any) -> None:
+        """Include ``source``'s entries in every :meth:`snapshot`.
+
+        ``source`` is a :class:`MetricsRegistry` or anything with a
+        ``snapshot(now)`` returning a flat dict of floats, in which an
+        entry that has recorded nothing is absent.  The source stays its
+        owner's record; the registry reads it at snapshot time.
+        """
+        self._sources.append(source)
+
+    def _attached(self, name: str) -> Optional[object]:
+        """The instrument ``name`` of an attached registry, if any."""
+        for source in self._sources:
+            if isinstance(source, MetricsRegistry):
+                instrument = source._instruments.get(name)
+                if instrument is None:
+                    instrument = source._attached(name)
+                if instrument is not None:
+                    return instrument
+        return None
 
     def _get_or_create(self, name: str, kind: Type[_I], *args: Any) -> _I:
         instrument = self._instruments.get(name)
         if instrument is None:
-            created = kind(name, *args)
-            self._instruments[name] = created
-            return created
+            instrument = self._attached(name)
+            if instrument is None:
+                created = kind(name, *args)
+                self._instruments[name] = created
+                return created
         if not isinstance(instrument, kind):
             raise ValueError(
                 f"{name!r} is already a {type(instrument).__name__}, "
@@ -246,64 +289,30 @@ class MetricsRegistry:
     def time_gauge(self, name: str, start_time: float = 0.0) -> TimeWeightedGauge:
         return self._get_or_create(name, TimeWeightedGauge, start_time)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s instruments into this registry, in place.
-
-        Counters and histograms merge exactly (sums / bucketwise adds --
-        the associative instruments); plain gauges take ``other``'s
-        value (last-wins, matching their semantics).  Time-weighted
-        gauges integrate a *virtual* clock that cannot be re-based after
-        the fact, so merging one is always a wiring bug and raises.
-        Used by the experiment runner to roll a run's private registry
-        into the installed hub.
-        """
-        for name in other.names():
-            instrument = other._instruments[name]
-            if isinstance(instrument, Counter):
-                self.counter(name).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self.gauge(name).set(instrument.value)
-            elif isinstance(instrument, Histogram):
-                mine = self.histogram(name, instrument.bounds)
-                merged = mine.merge(instrument)
-                mine.counts = merged.counts
-                mine.total = merged.total
-                mine.sum = merged.sum
-            else:
-                raise ValueError(
-                    f"cannot merge {type(instrument).__name__} {name!r}: "
-                    "time-weighted gauges have no mergeable clock basis"
-                )
-
     def __contains__(self, name: str) -> bool:
-        return name in self._instruments
+        return name in self._instruments or self._attached(name) is not None
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
-        """Every instrument flattened into one deterministic dict.
+        """Every instrument and attached entry in one deterministic dict.
 
-        Counters/gauges export their value under their own name;
-        histograms export ``name.count``, ``name.sum``, and one
-        ``name.le.<bound>`` cumulative entry per bucket; time-weighted
-        gauges export ``name.avg`` (up to ``now`` when given) and
-        ``name.current``.  Keys come out sorted so two same-seed runs
+        Each instrument flattens itself (its ``snapshot``): counters and
+        gauges under their own name, histograms as ``name.count``,
+        ``name.sum`` and cumulative ``name.le.<bound>`` entries,
+        time-weighted gauges as ``name.avg`` (up to ``now`` when given)
+        and ``name.current``.  A counter at zero and a histogram without
+        observations have recorded nothing and are absent.  Attached
+        sources add their own entries; a key written twice -- by two
+        sources, or by a source and this registry -- raises
+        :class:`ValueError`.  Keys come out sorted so two same-seed runs
         serialize byte-identically.
         """
         flat: Dict[str, float] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, (Counter, Gauge)):
-                flat[name] = round(float(instrument.value), 9)
-            elif isinstance(instrument, Histogram):
-                flat[f"{name}.count"] = float(instrument.total)
-                flat[f"{name}.sum"] = round(instrument.sum, 9)
-                cumulative = instrument.cumulative()
-                for bound, running in zip(instrument.bounds, cumulative):
-                    flat[f"{name}.le.{bound:g}"] = float(running)
-                flat[f"{name}.le.inf"] = float(cumulative[-1])
-            elif isinstance(instrument, TimeWeightedGauge):
-                flat[f"{name}.avg"] = round(instrument.average(now), 9)
-                flat[f"{name}.current"] = round(instrument.current, 9)
+        for source in [*self._instruments.values(), *self._sources]:
+            for key, value in source.snapshot(now).items():
+                if key in flat:
+                    raise ValueError(f"metric {key!r} is recorded twice")
+                flat[key] = value
         return dict(sorted(flat.items()))

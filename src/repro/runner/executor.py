@@ -9,8 +9,9 @@ Execution model:
 3. Deal missed units round-robin into ``jobs`` shards and run the
    shards in worker processes (``--jobs 1`` runs inline -- no pool).
 4. Re-assemble results **by unit identity** (experiment name + grid
-   index), validate schemas, write cache entries, and roll per-shard
-   metrics into the installed :mod:`repro.obs` hub.
+   index), validate schemas, write cache entries, and attach the run's
+   accounting (:func:`stats_registry`) to the installed :mod:`repro.obs`
+   hub.
 
 Determinism: a unit's RNG is derived from (experiment name, unit index,
 experiment seed) inside :class:`~repro.runner.registry.UnitContext` --
@@ -140,9 +141,9 @@ def run_experiments(
     the checkout this module lives in) so manifests are byte-identical
     with or without a ``cache``; the cache only changes *when* a unit is
     recomputed, never what its fingerprint or result is.  Per-shard
-    wall-clock and cache accounting land in :class:`RunStats` and are
-    mirrored into the installed obs hub; the returned results carry no
-    timing, so manifests stay byte-identical across ``jobs`` settings.
+    wall-clock and cache accounting land in :class:`RunStats`, which the
+    installed obs hub reads; the returned results carry no timing, so
+    manifests stay byte-identical across ``jobs`` settings.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -225,8 +226,8 @@ def stats_registry(stats: RunStats) -> "obs.MetricsRegistry":
 
 
 def _roll_into_obs(stats: RunStats) -> None:
-    """Mirror run accounting into the installed obs hub (if any)."""
+    """Attach the run's accounting to the installed obs hub (if any)."""
     hub = obs.active()
     if hub is None:
         return
-    hub.metrics.merge(stats_registry(stats))
+    hub.metrics.attach(stats_registry(stats))

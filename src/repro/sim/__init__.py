@@ -6,27 +6,23 @@ engine.  It provides:
 
 * :class:`~repro.sim.engine.Simulator` -- an event loop with a virtual clock,
   process scheduling, and deterministic tie-breaking.
-* :class:`~repro.sim.resources.CapacityResource` /
-  :class:`~repro.sim.resources.MultiResource` -- counted and
-  multi-dimensional resources with FIFO waiters (the multi-dimensional
-  variant underpins the paper's bin-packing scheduler).
+* :class:`~repro.sim.resources.MultiResource` -- multi-dimensional
+  resources reserved atomically (they underpin the paper's bin-packing
+  scheduler).
 * :func:`~repro.sim.rng.make_rng` -- seeded, stream-split random number
   generators so every experiment is reproducible.
 """
 
-from repro.sim.engine import Event, Interrupt, Process, Simulator, Timer
-from repro.sim.resources import CapacityResource, InsufficientCapacity, MultiResource
+from repro.sim.engine import Event, Process, Simulator, Timer
+from repro.sim.resources import MultiResource
 from repro.sim.rng import make_rng, split_rng
 
 __all__ = [
     "Event",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timer",
-    "CapacityResource",
     "MultiResource",
-    "InsufficientCapacity",
     "make_rng",
     "split_rng",
 ]

@@ -16,16 +16,14 @@ dominant ``yield <float>`` resume is dispatched inline in :meth:`run`
 with a reused entry tuple, so a step completion costs a dict lookup and
 a list append rather than two ``O(log n)`` heap operations.
 
-Three primitives support cancellation and races:
+Two primitives support cancellation and races:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_in` return a
   :class:`Timer` handle whose :meth:`Timer.cancel` defuses the callback
   (cancelled entries are dropped without advancing the clock, so stale
   watchdog deadlines do not stretch a run's end time).  The cluster's
   watchdog is one such timer per VCU step: it fires an event that only a
-  wedged step waits on, and a step that ends healthy cancels it;
-* :meth:`Process.interrupt` throws :class:`Interrupt` into a running
-  process, terminating it unless the generator catches the exception; and
+  wedged step waits on, and a step that ends healthy cancels it; and
 * :meth:`Simulator.any_of` builds a first-of-N event for a process that
   waits on whichever of several events fires first.
 """
@@ -36,21 +34,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.calendar import CalendarQueue
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries why the process was interrupted (e.g. a deadline
-    that fired).  A process may catch it and keep running; if it
-    propagates, the process terminates and its ``done`` event fires with
-    the :class:`Interrupt` instance as its value so waiters can tell a
-    cancellation from a normal return.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Timer:
@@ -80,7 +63,7 @@ class Event:
         self.sim = sim
         self._value: Any = None
         self._fired = False
-        # (process, wait_epoch): the epoch lets an interrupted process
+        # (process, wait_epoch): the epoch lets a finished process
         # ignore a wake-up from an event it was no longer waiting on.
         self._waiters: List[Tuple["Process", int]] = []
 
@@ -119,62 +102,23 @@ class Process:
     returns, the process's completion event fires with the return value.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_send", "done", "_epoch", "interrupted")
+    __slots__ = ("sim", "name", "_send", "done", "_epoch")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
-        self._generator = generator
         # Pre-bound ``generator.send`` so the run loop skips two attribute
         # lookups per dispatch on the dominant resume path.
         self._send = generator.send
         self.done = Event(sim)
-        # Bumped on interrupt *and* on termination, so a queued resume is
-        # stale iff its captured epoch mismatches -- one int compare in
-        # the run loop, no ``done.fired`` re-check needed.
+        # Bumped on termination, so a queued resume is stale iff its
+        # captured epoch mismatches -- one int compare in the run loop,
+        # no ``done.fired`` re-check needed.
         self._epoch = 0
-        self.interrupted = False
 
     @property
     def is_alive(self) -> bool:
         return not self.done.fired
-
-    def interrupt(self, cause: Any = None) -> bool:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Returns False (a no-op) when the process already finished -- the
-        natural race between a deadline and a completing process.  If the
-        generator does not catch the exception the process terminates and
-        ``done`` fires with the :class:`Interrupt` as its value.
-        """
-        if self.done.fired:
-            return False
-        self._epoch += 1
-        self.interrupted = True
-        self._advance(lambda: self._generator.throw(Interrupt(cause)))
-        return True
-
-    def _advance(self, step: Callable[[], Any]) -> None:
-        # Span context for the observability layer: while the generator
-        # runs, this process is the simulator's active process, so trace
-        # spans emitted from inside it can name their causal process.
-        previous = self.sim.active_process
-        self.sim.active_process = self
-        try:
-            try:
-                yielded = step()
-            except StopIteration as stop:
-                self._epoch += 1  # retire: any queued resume is now stale
-                self.done.succeed(stop.value)
-                return
-            except Interrupt as interrupt:
-                # The generator let the interrupt propagate: terminated.
-                self._epoch += 1
-                self.done.succeed(interrupt)
-                return
-            self._handle_yield(yielded)
-        finally:
-            self.sim.active_process = previous
 
     def _handle_yield(self, yielded: Any) -> None:
         """Schedule the process's next resume according to what it yielded.
@@ -336,8 +280,8 @@ class Simulator:
         the already-queued ties, which again matches the heapq.
 
         Cancelled timers are discarded without advancing the clock; a
-        resume whose process moved on (interrupted or finished) still
-        advances the clock to its timestamp, exactly as before.
+        resume whose process already finished still advances the clock to
+        its timestamp, exactly as before.
 
         The dominant ``yield <float>`` resume is inlined here: staleness
         is one epoch compare, the generator's pre-bound ``send`` is
@@ -378,15 +322,9 @@ class Simulator:
                         process._epoch = epoch + 1
                         process.done.succeed(stop.value)
                         continue
-                    except Interrupt as interrupt:
-                        self.active_process = None
-                        process._epoch = epoch + 1
-                        process.done.succeed(interrupt)
-                        continue
                     except BaseException:
                         # A model bug escaping the generator: clear the
-                        # span context before propagating, as the old
-                        # ``_advance`` finally-block did.
+                        # span context before propagating.
                         self.active_process = None
                         raise
                     self.active_process = None

@@ -1,4 +1,4 @@
-"""Counted and multi-dimensional resources for the event engine.
+"""Multi-dimensional resources for the event engine.
 
 :class:`MultiResource` is the primitive behind the paper's bin-packing
 scheduler (Section 3.3.3): each worker advertises named scalar dimensions
@@ -8,77 +8,16 @@ dimensions), and requests reserve a vector across all of them atomically.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Mapping, Optional, Tuple
-
-from repro.sim.engine import Event, Simulator
-
-
-class InsufficientCapacity(Exception):
-    """Raised when a request can never be satisfied by a resource."""
-
-
-class CapacityResource:
-    """A single-dimensional counted resource with FIFO waiters."""
-
-    def __init__(self, sim: Simulator, capacity: float, name: str = ""):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.name = name
-        self.capacity = float(capacity)
-        self.available = float(capacity)
-        self._waiters: Deque[Tuple[float, Event]] = deque()
-
-    @property
-    def in_use(self) -> float:
-        return self.capacity - self.available
-
-    @property
-    def utilization(self) -> float:
-        return self.in_use / self.capacity
-
-    def acquire(self, amount: float = 1.0) -> Event:
-        """Reserve ``amount``; the returned event fires when the reservation holds."""
-        if amount > self.capacity:
-            raise InsufficientCapacity(
-                f"{self.name or 'resource'}: requested {amount} > capacity {self.capacity}"
-            )
-        event = self.sim.event()
-        if not self._waiters and amount <= self.available:
-            self.available -= amount
-            event.succeed()
-        else:
-            self._waiters.append((amount, event))
-        return event
-
-    def try_acquire(self, amount: float = 1.0) -> bool:
-        """Non-blocking reserve; returns whether it succeeded."""
-        if self._waiters or amount > self.available:
-            return False
-        self.available -= amount
-        return True
-
-    def release(self, amount: float = 1.0) -> None:
-        self.available += amount
-        if self.available > self.capacity + 1e-9:
-            raise ValueError(f"{self.name or 'resource'}: released more than acquired")
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._waiters and self._waiters[0][0] <= self.available:
-            amount, event = self._waiters.popleft()
-            self.available -= amount
-            event.succeed()
+from typing import Dict, Mapping, Optional, Tuple
 
 
 class MultiResource:
     """A vector of named scalar dimensions reserved atomically.
 
     This mirrors the worker-resource model of Section 3.3.3: a request
-    either fits in *every* dimension or does not fit at all.  Unlike
-    :class:`CapacityResource` this is non-blocking by design -- the cluster
-    scheduler, not the resource, decides where unfit requests go.
+    either fits in *every* dimension or does not fit at all.  It is
+    non-blocking by design -- the cluster scheduler, not the resource,
+    decides where unfit requests go.
     """
 
     def __init__(self, capacities: Mapping[str, float], name: str = ""):

@@ -240,8 +240,6 @@ class ManifestEntry:
     #: Head-of-line blocking behind earlier segments' barriers.
     stall_seconds: float
     deadline_missed: bool
-    #: Rungs whose output escaped integrity checking corrupted.
-    corrupt_rungs: int
 
 
 @dataclass
@@ -250,7 +248,6 @@ class _SegmentProgress:
     deadline: Optional[float]
     outstanding: Set[str]
     aligned_at: Optional[float] = None
-    corrupt_rungs: int = 0
     completions: Dict[str, float] = field(default_factory=dict)
 
 
@@ -316,7 +313,7 @@ class ManifestAssembler:
         )
 
     def complete_rung(
-        self, index: int, rung_key: str, at: float, corrupt: bool = False
+        self, index: int, rung_key: str, at: float
     ) -> List[ManifestEntry]:
         """Record one rung finishing; returns any entries it unblocked.
 
@@ -342,8 +339,6 @@ class ManifestAssembler:
             )
         progress.outstanding.discard(rung_key)
         progress.completions[rung_key] = at
-        if corrupt:
-            progress.corrupt_rungs += 1
         if progress.outstanding:
             return []
         progress.aligned_at = at
@@ -365,7 +360,6 @@ class ManifestAssembler:
                 deadline_missed=(
                     progress.deadline is not None and at > progress.deadline
                 ),
-                corrupt_rungs=progress.corrupt_rungs,
             )
             if self.time_to_first_segment is None:
                 self.time_to_first_segment = at - self.started_at

@@ -9,13 +9,15 @@ step graph on the cluster, and completions feed the
 :class:`~repro.transcode.segments.ManifestAssembler` barrier until the
 final manifest entry is published.
 
-Latency accounting flows into the dispatcher's own
-:class:`~repro.obs.latency.LadderMetrics`: the dispatcher installs it on
-the cluster (per-rung queue waits) and the sessions record releases,
-time-to-first-segment, manifest stalls, and deadline misses.  When an
-observability hub is installed the sessions additionally emit
-``stream`` / ``segment`` / ``manifest`` spans, so ladder traces line up
-with the cluster's ``step`` spans.
+Latency accounting flows into the dispatcher's own ``ladder.*``
+:class:`~repro.obs.registry.MetricsRegistry`: the dispatcher installs it
+on the cluster (per-rung queue waits) and the sessions record releases,
+time-to-first-segment, manifest stalls, and deadline misses, with the
+scorecard's bucket bounds (:mod:`repro.obs.latency`).  When an
+observability hub is installed at the dispatcher's construction it
+attaches that registry, and the sessions additionally emit ``stream`` /
+``segment`` / ``manifest`` spans, so ladder traces line up with the
+cluster's ``step`` spans.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import obs
-from repro.obs.latency import LadderMetrics
+from repro.obs.latency import STALL_BOUNDS, TTFS_BOUNDS
+from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.transcode.pipeline import Step
 from repro.transcode.segments import (
@@ -67,10 +70,9 @@ class StreamSession:
         return self.finished_at is not None
 
     def start(self) -> None:
-        self.dispatcher.metrics.note_stream_started()
+        self.dispatcher.metrics.counter("ladder.streams.started").inc()
         hub = obs.active()
         if hub is not None:
-            hub.count("ladder.streams.started")
             hub.emit(
                 "stream", self.spec.stream_id, t0=self.started_at,
                 attrs={
@@ -86,10 +88,9 @@ class StreamSession:
         self.assembler.release(
             release.index, at=release.released_at, deadline=release.deadline
         )
-        self.dispatcher.metrics.note_release()
+        self.dispatcher.metrics.counter("ladder.segments.released").inc()
         hub = obs.active()
         if hub is not None:
-            hub.count("ladder.segments.released")
             hub.emit(
                 "segment", f"{self.spec.stream_id}/{release.index}",
                 t0=release.released_at,
@@ -98,10 +99,10 @@ class StreamSession:
 
     # -- rung completion ----------------------------------------------
 
-    def _rung_done(self, step: Step, corrupt: bool) -> None:
+    def _rung_done(self, step: Step) -> None:
         now = self.dispatcher.sim.now
         entries = self.assembler.complete_rung(
-            segment_index_of(step), rung_key_of(step), at=now, corrupt=corrupt
+            segment_index_of(step), rung_key_of(step), at=now
         )
         if not entries:
             return
@@ -109,10 +110,15 @@ class StreamSession:
         tracked = self.spec.deadline_seconds is not None
         hub = obs.active()
         for entry in entries:
-            metrics.note_manifest(entry, deadline_tracked=tracked)
+            metrics.counter("ladder.manifests.emitted").inc()
+            metrics.histogram(
+                "ladder.manifest_stall_seconds", STALL_BOUNDS
+            ).observe(entry.stall_seconds)
+            if tracked:
+                metrics.counter("ladder.deadlines.tracked").inc()
+                if entry.deadline_missed:
+                    metrics.counter("ladder.deadlines.missed").inc()
             if hub is not None:
-                hub.count("ladder.manifests.emitted")
-                hub.observe("ladder.manifest_stall_seconds", entry.stall_seconds)
                 hub.emit(
                     "manifest", f"{self.spec.stream_id}/{entry.index}",
                     t0=entry.aligned_at, t1=entry.emitted_at,
@@ -124,18 +130,15 @@ class StreamSession:
         ttfs = self.assembler.time_to_first_segment
         if ttfs is not None and not self._ttfs_recorded:
             self._ttfs_recorded = True
-            metrics.note_ttfs(ttfs)
-            if hub is not None:
-                hub.observe("ladder.ttfs_seconds", ttfs)
+            metrics.histogram("ladder.ttfs_seconds", TTFS_BOUNDS).observe(ttfs)
         if len(self.assembler.entries) == self.spec.segment_count:
             self._finalize(now)
 
     def _finalize(self, now: float) -> None:
         self.finished_at = now
-        self.dispatcher.metrics.note_stream_completed()
+        self.dispatcher.metrics.counter("ladder.streams.completed").inc()
         hub = obs.active()
         if hub is not None:
-            hub.count("ladder.streams.completed")
             hub.emit(
                 "stream", self.spec.stream_id, t0=self.started_at, t1=now,
                 attrs={
@@ -153,10 +156,14 @@ class LadderDispatcher:
     def __init__(self, sim: Simulator, cluster: "TranscodeCluster") -> None:
         self.sim = sim
         self.cluster = cluster
-        self.metrics = LadderMetrics()
+        #: The ladder's ``ladder.*`` counters and latency histograms.
+        self.metrics = MetricsRegistry()
         self._sessions: Dict[str, StreamSession] = {}
         cluster.ladder_metrics = self.metrics
         cluster.on_step_done = self._step_done
+        hub = obs.active()
+        if hub is not None:
+            hub.metrics.attach(self.metrics)
 
     def start_stream(
         self,
@@ -180,10 +187,10 @@ class LadderDispatcher:
     def unfinished(self) -> List[StreamSession]:
         return [s for s in self.sessions() if not s.done]
 
-    def _step_done(self, step: Step, corrupt: bool) -> None:
+    def _step_done(self, step: Step) -> None:
         if step.rung is None:
             return  # not a per-rung segment step (legacy MOT work)
         session = self._sessions.get(step.video_id)
         if session is None:
             return  # per-rung work submitted outside the streaming path
-        session._rung_done(step, corrupt)
+        session._rung_done(step)

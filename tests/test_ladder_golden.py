@@ -23,6 +23,7 @@ import pytest
 
 from repro import obs
 from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
+from repro.obs.latency import STALL_BOUNDS, TTFS_BOUNDS
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "golden" / "live_ladder_trace.jsonl"
@@ -88,3 +89,31 @@ def test_golden_drill_actually_exercised_the_streaming_ladder():
     for expected in ("stream", "segment", "manifest", "fallback",
                      "step", "hang", "retry"):
         assert expected in kinds, f"no {expected!r} spans in the drill"
+
+
+def _snapshot_quantile(snap, name, bounds, q):
+    """``Histogram.quantile`` read back from a flattened snapshot."""
+    target = q * snap[f"{name}.count"]
+    for bound in bounds:
+        if snap[f"{name}.le.{bound:g}"] >= target:
+            return bound
+    return bounds[-1]
+
+
+def test_hub_reads_the_scorecards_latency_histograms():
+    # The hub's ladder.* histograms are the ladder's own: the
+    # scorecard's bounds, so the same quantiles.
+    with obs.installed() as hub:
+        result = run_live_ladder(DRILL_CONFIG, seed=DRILL_SEED)
+    snap = hub.metrics.snapshot()
+    card = result.scorecard
+    for name, bounds, quantiles in (
+        ("ladder.ttfs_seconds", TTFS_BOUNDS, {"ttfs.p50": 0.5, "ttfs.p90": 0.9,
+                                              "ttfs.p99": 0.99}),
+        ("ladder.manifest_stall_seconds", STALL_BOUNDS,
+         {"stall.p50": 0.5, "stall.p99": 0.99}),
+    ):
+        buckets = {key for key in snap if key.startswith(f"{name}.le.")}
+        assert buckets == {f"{name}.le.{b:g}" for b in bounds} | {f"{name}.le.inf"}
+        for key, q in quantiles.items():
+            assert _snapshot_quantile(snap, name, bounds, q) == card[key], key

@@ -111,13 +111,15 @@ def test_fault_pressure_actually_hit_the_stream(soak_run):
 def test_latency_scorecard_stays_finite(soak_run):
     _, _, dispatcher, session = soak_run
     metrics = dispatcher.metrics
-    assert metrics.segments_released == metrics.manifests_emitted == SEGMENTS
-    assert metrics.ttfs.total == 1
+    released = metrics.counter("ladder.segments.released").value
+    assert released == metrics.counter("ladder.manifests.emitted").value == SEGMENTS
+    assert metrics.histogram("ladder.ttfs_seconds").total == 1
     ttfs = session.assembler.time_to_first_segment
     assert ttfs is not None and 0.0 < ttfs < SHOW_SECONDS
-    assert metrics.manifest_stall.total == SEGMENTS
+    manifest_stall = metrics.histogram("ladder.manifest_stall_seconds")
+    assert manifest_stall.total == SEGMENTS
     for quantile in (0.5, 0.9, 0.99):
-        stall = metrics.manifest_stall.quantile(quantile)
+        stall = manifest_stall.quantile(quantile)
         assert 0.0 <= stall < float("inf")
-    assert metrics.deadlines_tracked == SEGMENTS
-    assert 0 <= metrics.deadlines_missed <= SEGMENTS
+    assert metrics.counter("ladder.deadlines.tracked").value == SEGMENTS
+    assert 0 <= metrics.counter("ladder.deadlines.missed").value <= SEGMENTS

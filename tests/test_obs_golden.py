@@ -5,13 +5,16 @@ on a 4-VCU fleet) must serialize to a **byte-identical** JSONL trace on
 every run, on every machine.  The golden copy lives in
 ``tests/golden/obs_drill_trace.jsonl``; any change to event ordering,
 span attributes, float rounding, or the simulator's tie-breaking shows
-up here as a diff.
+up here as a diff.  The drill's metrics snapshot is pinned the same way
+in ``tests/golden/obs_drill_metrics.json``: every key the hub reports,
+and every value.
 
 To intentionally re-baseline after a behaviour change::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_obs_golden.py
 """
 
+import json
 import os
 import pathlib
 
@@ -32,6 +35,7 @@ from repro.vcu.host import VcuHost
 from repro.vcu.spec import HostSpec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "obs_drill_trace.jsonl"
+METRICS_GOLDEN_PATH = GOLDEN_PATH.with_name("obs_drill_metrics.json")
 
 
 def _stable_host(tag: str) -> VcuHost:
@@ -112,6 +116,22 @@ def test_trace_matches_checked_in_golden():
     assert trace == golden, (
         "trace diverged from tests/golden/obs_drill_trace.jsonl; if the "
         "change is intentional, re-baseline with REPRO_UPDATE_GOLDEN=1"
+    )
+
+
+def test_metrics_match_checked_in_golden():
+    _, snapshot, _ = _golden_drill()
+    text = json.dumps(snapshot, indent=1, sort_keys=True) + "\n"
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        METRICS_GOLDEN_PATH.write_text(text, encoding="utf-8")
+        pytest.skip(f"golden re-baselined at {METRICS_GOLDEN_PATH}")
+    assert METRICS_GOLDEN_PATH.exists(), (
+        "golden metrics missing -- regenerate with REPRO_UPDATE_GOLDEN=1"
+    )
+    golden = METRICS_GOLDEN_PATH.read_text(encoding="utf-8")
+    assert text == golden, (
+        "metrics snapshot diverged from tests/golden/obs_drill_metrics.json; "
+        "if the change is intentional, re-baseline with REPRO_UPDATE_GOLDEN=1"
     )
 
 

@@ -9,6 +9,7 @@ import typing
 
 import pytest
 
+from repro.cluster.cluster import ClusterStats
 from repro.obs.registry import (
     DEFAULT_SECONDS_BUCKETS,
     Counter,
@@ -206,54 +207,61 @@ class TestMetricsRegistry:
         assert list(DEFAULT_SECONDS_BUCKETS) == sorted(set(DEFAULT_SECONDS_BUCKETS))
 
 
-class TestRegistryMerge:
-    """``MetricsRegistry.merge``: the runner's roll-in primitive."""
+class TestRegistryAttach:
+    """``MetricsRegistry.attach``: a record the registry reads, not copies."""
 
-    def test_counters_add_and_gauges_last_win(self):
-        target, other = MetricsRegistry(), MetricsRegistry()
-        target.counter("events").inc(2)
-        target.gauge("level").set(0.5)
-        other.counter("events").inc(3)
-        other.gauge("level").set(0.25)
-        target.merge(other)
-        assert target.counter("events").value == 5
-        assert target.gauge("level").value == 0.25
+    def test_attached_registry_entries_join_the_snapshot(self):
+        hub, owned = MetricsRegistry(), MetricsRegistry()
+        hub.counter("mine").inc(1)
+        hub.attach(owned)
+        owned.counter("theirs").inc(2)  # recorded after the attach
+        assert hub.snapshot() == {"mine": 1.0, "theirs": 2.0}
 
-    def test_new_instruments_materialize_in_target(self):
-        target, other = MetricsRegistry(), MetricsRegistry()
-        other.counter("fresh").inc(7)
-        target.merge(other)
-        assert target.counter("fresh").value == 7
+    def test_lookups_find_the_attached_instrument(self):
+        hub, owned = MetricsRegistry(), MetricsRegistry()
+        gauge = owned.time_gauge("util", 5.0)
+        hub.attach(owned)
+        assert "util" in hub
+        assert hub.time_gauge("util") is gauge
+        assert hub.names() == []
 
-    def test_histograms_merge_bucketwise(self):
-        target, other = MetricsRegistry(), MetricsRegistry()
-        bounds = (1.0, 2.0)
-        target.histogram("lat", bounds=bounds).observe(0.5)
-        other.histogram("lat", bounds=bounds).observe(1.5)
-        other.histogram("lat", bounds=bounds).observe(5.0)
-        target.merge(other)
-        snap = target.snapshot()
-        assert snap["lat.count"] == 3.0
-        assert snap["lat.le.1"] == 1.0
-        assert snap["lat.le.2"] == 2.0
-        assert snap["lat.le.inf"] == 3.0
-        assert snap["lat.sum"] == 7.0
+    def test_any_snapshot_source_is_read_with_the_snapshot_time(self):
+        class Source:
+            def snapshot(self, now):
+                return {"src.now": now}
 
-    def test_histogram_bound_mismatch_raises(self):
-        target, other = MetricsRegistry(), MetricsRegistry()
-        target.histogram("lat", bounds=(1.0,)).observe(0.5)
-        other.histogram("lat", bounds=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="bounds"):
-            target.merge(other)
+        hub = MetricsRegistry()
+        hub.attach(Source())
+        assert hub.snapshot(now=7.0) == {"src.now": 7.0}
 
-    def test_time_weighted_gauges_refuse_to_merge(self):
-        target, other = MetricsRegistry(), MetricsRegistry()
-        other.time_gauge("util").set(0.0, 1.0)
-        with pytest.raises(ValueError, match="clock basis"):
-            target.merge(other)
+    def test_a_key_written_by_two_sources_raises_naming_it(self):
+        hub, first, second = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        first.counter("events").inc()
+        second.counter("events").inc()
+        hub.attach(first)
+        hub.attach(second)
+        with pytest.raises(ValueError, match="'events'"):
+            hub.snapshot()
 
-    def test_merge_is_idempotent_on_empty_source(self):
-        target = MetricsRegistry()
-        target.counter("events").inc(1)
-        target.merge(MetricsRegistry())
-        assert target.snapshot() == {"events": 1.0}
+    def test_a_source_key_the_registry_also_writes_raises(self):
+        hub, owned = MetricsRegistry(), MetricsRegistry()
+        hub.histogram("lat", bounds=(1.0,)).observe(0.5)
+        owned.counter("lat.count").inc()
+        hub.attach(owned)
+        with pytest.raises(ValueError, match="'lat.count'"):
+            hub.snapshot()
+
+    def test_a_source_zero_counter_is_absent(self):
+        hub, owned = MetricsRegistry(), MetricsRegistry()
+        owned.counter("idle")
+        owned.histogram("empty")
+        owned.counter("busy").inc()
+        hub.attach(owned)
+        hub.attach(ClusterStats(completed_steps=3))
+        assert hub.snapshot() == {"busy": 1.0, "cluster.completed_steps": 3.0}
+
+    def test_an_empty_source_adds_nothing(self):
+        hub = MetricsRegistry()
+        hub.counter("events").inc(1)
+        hub.attach(MetricsRegistry())
+        assert hub.snapshot() == {"events": 1.0}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import Event, Interrupt
 
 
 def test_clock_starts_at_zero():
@@ -189,75 +188,6 @@ def test_cancelled_timer_never_fires_and_does_not_stretch_the_run():
     assert end == 2.0  # the cancelled entry must not advance the clock
 
 
-def test_interrupt_terminates_a_sleeping_process():
-    sim = Simulator()
-    trace = []
-
-    def sleeper():
-        trace.append("start")
-        yield 50.0
-        trace.append("never")
-
-    proc = sim.process(sleeper())
-    sim.call_in(5.0, lambda: proc.interrupt("deadline"))
-    sim.run()
-    assert trace == ["start"]
-    assert proc.interrupted
-    assert proc.done.fired
-    assert isinstance(proc.done.value, Interrupt)
-    assert proc.done.value.cause == "deadline"
-
-
-def test_interrupt_terminates_a_process_waiting_on_an_event():
-    sim = Simulator()
-    gate = sim.event()
-    woke = []
-
-    def waiter():
-        woke.append((yield gate))
-
-    proc = sim.process(waiter())
-    sim.call_in(1.0, lambda: proc.interrupt())
-    sim.call_in(9.0, lambda: gate.succeed("too late"))
-    sim.run()
-    # The stale wake-up from the gate must not resume the dead process.
-    assert woke == []
-    assert not proc.is_alive
-
-
-def test_interrupt_can_be_caught_and_the_process_continues():
-    sim = Simulator()
-    trace = []
-
-    def resilient():
-        try:
-            yield 50.0
-        except Interrupt as interrupt:
-            trace.append(f"caught:{interrupt.cause}")
-        yield 1.0
-        trace.append(sim.now)
-        return "survived"
-
-    proc = sim.process(resilient())
-    sim.call_in(5.0, lambda: proc.interrupt("poke"))
-    sim.run()
-    assert trace == ["caught:poke", 6.0]
-    assert proc.done.value == "survived"
-
-
-def test_interrupting_a_finished_process_is_a_noop():
-    sim = Simulator()
-
-    def quick():
-        yield 1.0
-        return "done"
-
-    proc = sim.process(quick())
-    sim.run()
-    assert proc.interrupt("late") is False
-    assert proc.done.value == "done"
-
-
 def test_any_of_fires_with_winning_index_and_value():
     sim = Simulator()
     slow, fast = sim.timeout(9.0, "slow"), sim.timeout(2.0, "fast")
@@ -308,7 +238,6 @@ def test_any_of_can_race_a_process_against_a_deadline():
         if index == 0:
             outcomes.append(("ok", value))
         else:
-            job.interrupt("deadline")
             outcomes.append(("timed_out", value))
 
     sim.process(supervise(2.0, 10.0))

@@ -1,75 +1,8 @@
-"""Unit tests for counted and multi-dimensional resources."""
+"""Unit tests for multi-dimensional resources."""
 
 import pytest
 
-from repro.sim import CapacityResource, InsufficientCapacity, MultiResource, Simulator
-
-
-class TestCapacityResource:
-    def test_acquire_release_roundtrip(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=4)
-        event = res.acquire(3)
-        sim.run()
-        assert event.fired
-        assert res.available == 1
-        res.release(3)
-        assert res.available == 4
-
-    def test_waiters_are_fifo(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=2)
-        res.acquire(2)
-        order = []
-
-        def claim(tag, amount):
-            yield res.acquire(amount)
-            order.append(tag)
-
-        sim.process(claim("first", 1))
-        sim.process(claim("second", 1))
-        sim.call_in(1.0, lambda: res.release(2))
-        sim.run()
-        assert order == ["first", "second"]
-
-    def test_fifo_blocks_head_of_line(self):
-        # A big request at the head blocks a small one behind it (no
-        # starvation of large requests).
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=4)
-        res.acquire(3)
-        big = res.acquire(4)
-        small = res.acquire(1)
-        sim.run()
-        assert not big.fired
-        assert not small.fired
-
-    def test_try_acquire(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=2)
-        assert res.try_acquire(2)
-        assert not res.try_acquire(1)
-        res.release(2)
-        assert res.try_acquire(1)
-
-    def test_over_capacity_request_rejected(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=2)
-        with pytest.raises(InsufficientCapacity):
-            res.acquire(3)
-
-    def test_over_release_rejected(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=2)
-        with pytest.raises(ValueError):
-            res.release(1)
-
-    def test_utilization(self):
-        sim = Simulator()
-        res = CapacityResource(sim, capacity=4)
-        res.acquire(1)
-        sim.run()
-        assert res.utilization == pytest.approx(0.25)
+from repro.sim import MultiResource
 
 
 class TestMultiResource:

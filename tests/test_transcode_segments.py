@@ -171,10 +171,12 @@ class TestDispatcherEndToEnd:
         # First segment releases at 2 s, so TTFS is at least that.
         assert ttfs is not None and ttfs >= 2.0
         metrics = dispatcher.metrics
-        assert metrics.streams_started == metrics.streams_completed == 1
-        assert metrics.segments_released == metrics.manifests_emitted == 4
-        assert metrics.ttfs.total == 1
-        assert metrics.deadlines_tracked == 4
+        started = metrics.counter("ladder.streams.started").value
+        assert started == metrics.counter("ladder.streams.completed").value == 1
+        released = metrics.counter("ladder.segments.released").value
+        assert released == metrics.counter("ladder.manifests.emitted").value == 4
+        assert metrics.histogram("ladder.ttfs_seconds").total == 1
+        assert metrics.counter("ladder.deadlines.tracked").value == 4
 
     def test_upload_stream_floods_then_aligns(self):
         spec = live_spec(
@@ -185,14 +187,16 @@ class TestDispatcherEndToEnd:
         assert len(finished) == 1
         session = dispatcher.session("up-1")
         assert [e.index for e in session.assembler.entries] == [0, 1, 2]
-        assert dispatcher.metrics.deadlines_tracked == 0
+        assert dispatcher.metrics.counter("ladder.deadlines.tracked").value == 0
 
     def test_queue_waits_are_recorded_per_rung(self):
         _, dispatcher, _ = self.run_stream(live_spec())
-        rungs = sorted(dispatcher.metrics.queue_wait)
+        prefix = "ladder.queue_wait."
+        names = [n for n in dispatcher.metrics.names() if n.startswith(prefix)]
+        rungs = [name[len(prefix):] for name in names]
         assert "720p" in rungs and "144p" in rungs
-        for rung in rungs:
-            assert dispatcher.metrics.queue_wait[rung].total > 0
+        for name in names:
+            assert dispatcher.metrics.histogram(name).total > 0
 
     def test_saturated_cluster_takes_opportunistic_fallbacks(self):
         # One VCU against two flooding uploads: low rungs overflow to CPU.
