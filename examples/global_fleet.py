@@ -1,58 +1,22 @@
 #!/usr/bin/env python3
-"""Global fleet operations: geographic routing, pools, and autoscaling.
+"""Fleet pools: idle workers move to the pool whose demand spikes.
 
-The layer above a single cluster (Section 2.2 / 3.3.3): uploads originate
-around the world and route to the nearest cluster with headroom (spilling
-when local capacity runs out), while inside a cluster the logical pools
-trade workers as demand shifts between upload and live traffic.
+Inside a cluster (Section 3.3.3) logical pools trade workers as demand
+shifts between upload and live traffic.  Routing across clusters --
+nearest site with headroom, spill, and failover under a regional
+outage -- runs through the control plane in
+``examples/global_platform_day.py``.
 
 Run:  python examples/global_fleet.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.autoscale import AutoscaleConfig, Autoscaler
 from repro.cluster.pool import Pool, PoolKey, Priority, UseCase
-from repro.cluster.regions import ClusterSite, GlobalScheduler
 from repro.cluster.worker import VcuWorker
-from repro.metrics import format_table
-from repro.sim.rng import make_rng
 from repro.vcu.chip import Vcu
 from repro.vcu.spec import DEFAULT_VCU_SPEC
-
-
-def routing_demo() -> None:
-    sites = [
-        ClusterSite("us-west", "us", location=(0, 0), capacity=60),
-        ClusterSite("us-east", "us", location=(40, 0), capacity=60),
-        ClusterSite("eu-west", "eu", location=(90, 10), capacity=45),
-        ClusterSite("apac", "apac", location=(160, -10), capacity=30),
-    ]
-    scheduler = GlobalScheduler(sites)
-    rng = make_rng(7)
-    # Upload origins clustered around population centres.
-    centres = [(2, 1), (38, -2), (88, 12), (158, -8)]
-    weights = [0.35, 0.25, 0.25, 0.15]
-    for _ in range(170):
-        cx, cy = centres[int(rng.choice(len(centres), p=weights))]
-        origin = (cx + float(rng.normal(0, 6)), cy + float(rng.normal(0, 6)))
-        scheduler.route(origin)
-
-    rows = [
-        [s.name, s.region, s.capacity, s.routed_total,
-         f"{s.in_flight}/{s.capacity}"]
-        for s in sites
-    ]
-    print(format_table(
-        ["Cluster", "Region", "Capacity", "Routed", "In flight"],
-        rows, title="Global routing: 170 uploads, nearest-with-headroom",
-    ))
-    print(f"spilled to a non-nearest cluster: {scheduler.spill_count}, "
-          f"rejected: {scheduler.reject_count}")
-    print(f"US regional imbalance (max/min routed): "
-          f"{scheduler.regional_imbalance('us'):.2f} (1.0 = the Appendix A.1 ideal)\n")
 
 
 def autoscale_demo() -> None:
@@ -84,7 +48,6 @@ def autoscale_demo() -> None:
 
 
 def main() -> None:
-    routing_demo()
     autoscale_demo()
 
 

@@ -312,8 +312,7 @@ class _ProjectIndex:
                                     f"process-reachable generator "
                                     f"'{func_id[1]}' yields {problem} "
                                     "(reached via yield from); the engine "
-                                    "only accepts float delays, resume "
-                                    "tuples, Events, and Processes"
+                                    "only accepts delays and Events"
                                 ),
                             )
                         )

@@ -283,11 +283,10 @@ class SimYieldRule(Rule):
     """Engine process generators only yield sanctioned values.
 
     :class:`repro.sim.engine.Simulator` resumes a process on exactly
-    three yield shapes -- a numeric delay, an :class:`Event`, or another
-    :class:`Process` (plus tuple-shaped resume payloads used by helper
-    protocols).  Yielding anything else dies at runtime deep inside a
-    run; blocking I/O inside a process stalls the whole single-threaded
-    event loop.  Both are cheap to catch at parse time.
+    two yield shapes -- a numeric delay or an :class:`Event`.  Yielding
+    anything else dies at runtime deep inside a run; blocking I/O inside
+    a process stalls the whole single-threaded event loop.  Both are
+    cheap to catch at parse time.
     """
 
     id = "sim-yield"
@@ -317,8 +316,7 @@ class SimYieldRule(Rule):
                         yield ctx.finding(
                             self.id, node,
                             f"process generator '{func.name}' yields {problem}; "
-                            "the engine only accepts float delays, resume "
-                            "tuples, Events, and Processes",
+                            "the engine only accepts delays and Events",
                         )
                 elif isinstance(node, ast.Call):
                     dotted = ctx.dotted(node.func)

@@ -3,14 +3,15 @@
 Each cluster defines pools by use case (upload, live, ...) and priority
 (critical, normal, batch); each pool has its own scheduler and workers.
 Idle workers can be stopped and reallocated to other pools, maximizing
-cluster-wide VCU utilization.
+cluster-wide VCU utilization; :class:`~repro.cluster.autoscale.Autoscaler`
+does the moving.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.worker import Worker
@@ -52,29 +53,3 @@ class Pool:
         if not self.workers:
             return float("inf") if self.pending_steps else 0.0
         return self.pending_steps / len(self.workers)
-
-
-def rebalance_pools(pools: Dict[PoolKey, Pool]) -> int:
-    """Move idle workers from low-pressure pools to high-pressure ones.
-
-    Returns how many workers moved.  Higher-priority pools are served
-    first; a worker only moves when its source pool has zero pending work.
-    """
-    moved = 0
-    needy = sorted(
-        (p for p in pools.values() if p.pending_steps > 0),
-        key=lambda p: (p.key.priority, -p.demand_pressure()),
-    )
-    donors = [p for p in pools.values() if p.pending_steps == 0]
-    for pool in needy:
-        for donor in donors:
-            if donor.key == pool.key:
-                continue
-            idle = donor.idle_workers()
-            while idle and pool.demand_pressure() > 1.0:
-                worker = idle.pop()
-                donor.workers.remove(worker)
-                pool.workers.append(worker)
-                worker.pool_key = pool.key
-                moved += 1
-    return moved

@@ -1,10 +1,9 @@
 """Multi-region routing with failover: sites, selection, and drains.
 
-Builds the stateful layer the control plane needs on top of the
-geometry in :mod:`repro.cluster.regions`: each
-:class:`~repro.cluster.regions.ClusterSite` is wrapped in a
-:class:`SiteRuntime` carrying the *dynamic* picture -- autoscaled slot
-count, the per-site dispatch queue, and the running set.
+Each :class:`SiteRuntime` is one data-center site as the control plane
+sees it: its name, region and map location, whether it is up, and the
+*dynamic* picture -- autoscaled slot count, the per-site dispatch
+queue, and the running set.
 
 Routing preference mirrors the paper's Section 2.2 behaviour: a job
 lands on the nearest *up* site with free slots; with no free slot
@@ -21,49 +20,44 @@ same admission rules as fresh traffic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.regions import ClusterSite, distance
 from repro.control.jobs import Job
 from repro.control.queue import ClassQueue
 
 
+def distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
 @dataclass
 class SiteRuntime:
-    """One site's dynamic state as the control plane sees it."""
+    """One site's place and dynamic state as the control plane sees it."""
 
-    site: ClusterSite
+    name: str
+    region: str
+    #: Abstract map coordinates (distance drives routing preference).
+    location: Tuple[float, float]
     #: Current dispatch slots (autoscaling moves this between min/max).
-    slots: int = 0
+    slots: int
     min_slots: int = 1
     max_slots: int = 0
+    #: False while the site is lost to a regional outage.
+    up: bool = True
     queue: ClassQueue = field(default_factory=ClassQueue)
     #: job_id -> Job, insertion-ordered (dispatch order).
     running: Dict[str, Job] = field(default_factory=dict)
     dispatched_total: int = 0
 
     def __post_init__(self) -> None:
-        if self.slots <= 0:
-            self.slots = self.site.capacity
         if self.max_slots <= 0:
             self.max_slots = self.slots * 4
         if not self.min_slots <= self.slots <= self.max_slots:
             raise ValueError(
                 f"site {self.name}: need min_slots <= slots <= max_slots"
             )
-
-    @property
-    def name(self) -> str:
-        return self.site.name
-
-    @property
-    def region(self) -> str:
-        return self.site.region
-
-    @property
-    def up(self) -> bool:
-        return self.site.up
 
     def headroom(self) -> int:
         return self.slots - len(self.running)
@@ -109,7 +103,7 @@ class FailoverRouter:
         """Nearest site regardless of health (the failover reference)."""
         return min(
             self.sites,
-            key=lambda s: (distance(origin, s.site.location), s.name),
+            key=lambda s: (distance(origin, s.location), s.name),
         )
 
     def choose(self, origin: Tuple[float, float]) -> Optional[SiteRuntime]:
@@ -126,13 +120,13 @@ class FailoverRouter:
         if with_headroom:
             chosen = min(
                 with_headroom,
-                key=lambda s: (distance(origin, s.site.location), s.name),
+                key=lambda s: (distance(origin, s.location), s.name),
             )
         else:
             chosen = min(
                 candidates,
                 key=lambda s: (
-                    s.load(), distance(origin, s.site.location), s.name,
+                    s.load(), distance(origin, s.location), s.name,
                 ),
             )
         nearest = self.nearest(origin)
@@ -154,7 +148,7 @@ class FailoverRouter:
         from the site -- the caller owns their next transition.
         """
         site = self.site(name)
-        site.site.up = False
+        site.up = False
         queued = site.queue.drain()
         running = list(site.running.values())
         site.running.clear()
@@ -162,5 +156,5 @@ class FailoverRouter:
 
     def mark_up(self, name: str) -> SiteRuntime:
         site = self.site(name)
-        site.site.up = True
+        site.up = True
         return site

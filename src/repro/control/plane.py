@@ -37,7 +37,6 @@ from typing import (
 
 from repro import obs
 from repro.cluster.autoscale import CapacityAutoscaleConfig, CapacityAutoscaler
-from repro.cluster.regions import ClusterSite
 from repro.control.admission import AdmissionConfig, AdmissionController
 from repro.control.failover import FailoverRouter, SiteRuntime
 from repro.control.jobs import (
@@ -503,7 +502,9 @@ def make_sites(
     """Build site runtimes from (name, region, location, slots) tuples."""
     return [
         SiteRuntime(
-            site=ClusterSite(name, region, location, capacity=slots),
+            name,
+            region,
+            location,
             slots=slots,
             min_slots=min_slots,
             max_slots=slots * max_slots_factor,

@@ -39,8 +39,11 @@ class FaultEvent:
 
 
 def _check_hang_duration(duration: Optional[float]) -> None:
-    if duration is not None and not duration > 0:
-        raise ValueError(f"hang duration must be positive, got {duration}")
+    # A permanent hang is ``duration=None``, not an infinite duration.
+    if duration is not None and not 0 < duration < math.inf:
+        raise ValueError(
+            f"hang duration must be positive and finite, got {duration}"
+        )
 
 
 def _check_fault_count(count: int) -> None:
@@ -147,8 +150,12 @@ class FaultInjector:
         All hangs clear together at ``at_time + duration``: recovery is
         a single restoration event, not a rolling one.
         """
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
+        if not math.isfinite(at_time):
+            raise ValueError(f"outage start must be finite, got {at_time}")
+        if not 0 < duration < math.inf:
+            raise ValueError(
+                f"outage duration must be positive and finite, got {duration}"
+            )
         if not hosts:
             raise ValueError("regional outage needs at least one host")
         clear_at = at_time + duration
@@ -215,11 +222,13 @@ class FaultInjector:
 
     def _poisson_arrivals(self, rate_per_vcu_hour, until, inject) -> List[FaultEvent]:
         # An infinite rate draws zero gaps forever; NaN draws NaN gaps
-        # that silently end the loop.
+        # that silently end the loop.  An infinite horizon never ends it.
         if not (math.isfinite(rate_per_vcu_hour) and rate_per_vcu_hour >= 0):
             raise ValueError(
                 f"rate must be finite and >= 0, got {rate_per_vcu_hour}"
             )
+        if not math.isfinite(until):
+            raise ValueError(f"horizon must be finite, got {until}")
         events: List[FaultEvent] = []
         rate_per_second = rate_per_vcu_hour / 3600.0
         if rate_per_second == 0:

@@ -8,7 +8,7 @@ stack.  Three instrument families cover the fleet's needs:
 * :class:`Gauge` -- last-value-wins samples (healthy workers right now).
 * :class:`Histogram` -- fixed-bucket distributions (step seconds, backoff
   delays).  Buckets are upper bounds with an implicit +inf overflow
-  bucket, so two histograms with the same bounds merge exactly.
+  bucket.
 * :class:`TimeWeightedGauge` -- a named :class:`UtilizationTracker`, a
   gauge integrated over *virtual* time (the cluster's utilization series
   are two of them).
@@ -126,10 +126,7 @@ class Histogram:
 
     ``counts[i]`` is the number of observations with
     ``value <= bounds[i]`` (and greater than the previous bound);
-    ``counts[-1]`` is the overflow.  Fixed bounds make merging exact:
-    histograms recorded by different components of one run -- or by two
-    runs -- combine by bucketwise addition, which is associative and
-    commutative (the property tests lock this down).
+    ``counts[-1]`` is the overflow.
     """
 
     __slots__ = ("name", "bounds", "counts", "total", "sum")
@@ -160,8 +157,8 @@ class Histogram:
         ``q`` of the observations.  Observations in the overflow bucket
         report the largest finite bound (the histogram cannot resolve
         beyond it); an empty histogram reports 0.0.  Bucket-resolution
-        quantiles are coarse but deterministic and mergeable -- exactly
-        what the SLO scorecards need.
+        quantiles are coarse but deterministic -- exactly what the SLO
+        scorecards need.
         """
         if not 0.0 < q <= 1.0:
             raise ValueError("quantile requires 0 < q <= 1")
@@ -196,16 +193,6 @@ class Histogram:
             flat[f"{self.name}.le.{bound:g}"] = float(running)
         flat[f"{self.name}.le.inf"] = float(cumulative[-1])
         return flat
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Bucketwise sum; both histograms must share bounds."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        merged = Histogram(self.name, self.bounds)
-        merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        merged.total = self.total + other.total
-        merged.sum = self.sum + other.sum
-        return merged
 
 
 class TimeWeightedGauge(UtilizationTracker):

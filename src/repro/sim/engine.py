@@ -16,6 +16,10 @@ dominant ``yield <float>`` resume is dispatched inline in :meth:`run`
 with a reused entry tuple, so a step completion costs a dict lookup and
 a list append rather than two ``O(log n)`` heap operations.
 
+Every scheduled time must be finite: a NaN or infinite time (or delay)
+raises :class:`ValueError` where it is scheduled, since the calendar
+cannot order it.
+
 Two primitives support cancellation and races:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_in` return a
@@ -30,8 +34,9 @@ Two primitives support cancellation and races:
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.sim.calendar import CalendarQueue
 
@@ -63,9 +68,7 @@ class Event:
         self.sim = sim
         self._value: Any = None
         self._fired = False
-        # (process, wait_epoch): the epoch lets a finished process
-        # ignore a wake-up from an event it was no longer waiting on.
-        self._waiters: List[Tuple["Process", int]] = []
+        self._waiters: List["Process"] = []
 
     @property
     def fired(self) -> bool:
@@ -83,26 +86,27 @@ class Event:
             raise RuntimeError("event fired twice")
         self._fired = True
         self._value = value
-        for process, epoch in self._waiters:
-            self.sim._schedule_resume(process, self._value, epoch=epoch)
+        sim = self.sim
+        for process in self._waiters:
+            sim._calendar.push(sim._now, (process, value))
         self._waiters.clear()
         return self
 
     def _add_waiter(self, process: "Process") -> None:
         if self._fired:
-            self.sim._schedule_resume(process, self._value)
+            self.sim._calendar.push(self.sim._now, (process, self._value))
         else:
-            self._waiters.append((process, process._epoch))
+            self._waiters.append(process)
 
 
 class Process:
     """A running generator-based simulation process.
 
-    The underlying generator yields delays or events.  When the generator
-    returns, the process's completion event fires with the return value.
+    The underlying generator yields delays or events; the process ends
+    when the generator returns.
     """
 
-    __slots__ = ("sim", "name", "_send", "done", "_epoch")
+    __slots__ = ("sim", "name", "_send")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         self.sim = sim
@@ -110,15 +114,6 @@ class Process:
         # Pre-bound ``generator.send`` so the run loop skips two attribute
         # lookups per dispatch on the dominant resume path.
         self._send = generator.send
-        self.done = Event(sim)
-        # Bumped on termination, so a queued resume is stale iff its
-        # captured epoch mismatches -- one int compare in the run loop,
-        # no ``done.fired`` re-check needed.
-        self._epoch = 0
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.done.fired
 
     def _handle_yield(self, yielded: Any) -> None:
         """Schedule the process's next resume according to what it yielded.
@@ -136,9 +131,6 @@ class Process:
         elif isinstance(yielded, Event):
             yielded._add_waiter(self)
             return
-        elif isinstance(yielded, Process):
-            yielded.done._add_waiter(self)
-            return
         elif cls is not bool and isinstance(yielded, (int, float)):
             delay = float(yielded)
         else:
@@ -149,12 +141,15 @@ class Process:
             )
             raise TypeError(
                 f"process {self.name!r} yielded {detail}; "
-                "expected a delay, Event, or Process"
+                "expected a delay or Event"
             )
         if delay < 0:
             raise ValueError(f"process {self.name!r} yielded negative delay {delay}")
         sim = self.sim
-        sim._calendar.push(sim._now + delay, (self._epoch, self, None))
+        when = sim._now + delay
+        if not math.isfinite(when):
+            raise ValueError(f"process {self.name!r} yielded non-finite delay {delay}")
+        sim._calendar.push(when, (self, None))
 
 
 class Simulator:
@@ -162,11 +157,10 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        # Three entry shapes share the calendar, dispatched by length and
-        # then by the first element's type in run():
-        #   (epoch, process, value)  -- pre-bound process resumes
-        #   (timer, callback)        -- Timer entries
-        #   (event, value)           -- pre-bound timeout completions
+        # Two entry shapes share the calendar, told apart in run() by the
+        # first element's class:
+        #   (process, value)  -- pre-bound process resumes
+        #   (timer, callback) -- Timer entries
         # Ordering lives entirely in the calendar (when + push order), so
         # entries carry no timestamps or sequence numbers of their own.
         self._calendar = CalendarQueue()
@@ -191,7 +185,7 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process; it first runs at the current virtual time."""
         process = Process(self, generator, name=name)
-        self._calendar.push(self._now, (process._epoch, process, None))
+        self._calendar.push(self._now, (process, None))
         return process
 
     def call_at(self, when: float, callback: Callable[[], object]) -> Timer:
@@ -203,6 +197,8 @@ class Simulator:
         """
         if when < self._now:
             raise ValueError(f"cannot schedule at {when} before now={self._now}")
+        if not math.isfinite(when):
+            raise ValueError(f"cannot schedule at non-finite time {when}")
         timer = Timer(when)
         self._calendar.push(when, (timer, callback))
         return timer
@@ -211,19 +207,9 @@ class Simulator:
         return self.call_at(self._now + delay, callback)
 
     def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires after ``delay`` seconds of virtual time.
-
-        The dominant deadline pattern, so it gets a pre-bound calendar
-        entry like process resumes do: no :class:`Timer`, no closure --
-        the run loop calls ``event.succeed(value)`` directly.  (It cannot
-        be cancelled, which is fine: nothing ever cancelled the closure
-        variant either, and waiters race it with :meth:`any_of`.)
-        """
-        when = self._now + delay
-        if when < self._now:
-            raise ValueError(f"cannot schedule at {when} before now={self._now}")
-        event = Event(self)
-        self._calendar.push(when, (event, value))
+        """An event that fires with ``value`` after ``delay`` seconds."""
+        event = self.event()
+        self.call_in(delay, lambda: event.succeed(value))
         return event
 
     def all_of(self, events: Iterable[Event]) -> Event:
@@ -278,17 +264,15 @@ class Simulator:
         Entries scheduled *at the currently dispatching timestamp* land
         in a fresh bucket popped on the next loop iteration, i.e. after
         the already-queued ties, which again matches the heapq.
+        Cancelled timers are discarded without advancing the clock.
 
-        Cancelled timers are discarded without advancing the clock; a
-        resume whose process already finished still advances the clock to
-        its timestamp, exactly as before.
-
-        The dominant ``yield <float>`` resume is inlined here: staleness
-        is one epoch compare, the generator's pre-bound ``send`` is
-        called directly, and when the process yields a plain delay its
-        entry tuple is pushed back verbatim (the ``(epoch, process,
-        None)`` triple is immutable across such hops), so the steady
-        state allocates nothing per event.
+        The dominant ``yield <float>`` resume is inlined here: the
+        generator's pre-bound ``send`` is called directly, and when the
+        process yields a plain delay its entry tuple is pushed back
+        verbatim (the ``(process, None)`` pair is immutable across such
+        hops), so the steady state allocates nothing per event.  A
+        non-finite resume time cannot fall below the near tier's
+        horizon, so it is rejected on the far branch only.
         """
         cal = self._calendar
         buckets = cal.buckets
@@ -307,73 +291,53 @@ class Simulator:
             heappop(times)
             batch = buckets.pop(when)
             for entry in batch:
-                if len(entry) == 3:
-                    epoch = entry[0]
-                    process = entry[1]
-                    if process._epoch != epoch:
-                        self._now = when
+                head = entry[0]
+                if head.__class__ is Timer:
+                    if head.cancelled:
                         continue
                     self._now = when
-                    self.active_process = process
-                    try:
-                        yielded = process._send(entry[2])
-                    except StopIteration as stop:
-                        self.active_process = None
-                        process._epoch = epoch + 1
-                        process.done.succeed(stop.value)
-                        continue
-                    except BaseException:
-                        # A model bug escaping the generator: clear the
-                        # span context before propagating.
-                        self.active_process = None
-                        raise
+                    entry[1]()
+                    continue
+                process = head
+                self._now = when
+                self.active_process = process
+                try:
+                    yielded = process._send(entry[1])
+                except StopIteration:
                     self.active_process = None
-                    cls = type(yielded)
-                    if cls is float or cls is int:
-                        if yielded < 0:
+                    continue
+                except BaseException:
+                    # A model bug escaping the generator: clear the
+                    # span context before propagating.
+                    self.active_process = None
+                    raise
+                self.active_process = None
+                cls = type(yielded)
+                if cls is float or cls is int:
+                    if yielded < 0:
+                        raise ValueError(
+                            f"process {process.name!r} yielded "
+                            f"negative delay {yielded}"
+                        )
+                    nxt = when + yielded
+                    if entry[1] is not None:
+                        entry = (process, None)
+                    if nxt < horizon:
+                        bucket = buckets.get(nxt)
+                        if bucket is None:
+                            buckets[nxt] = [entry]
+                            heappush(times, nxt)
+                        else:
+                            bucket.append(entry)
+                    else:
+                        if not math.isfinite(nxt):
                             raise ValueError(
                                 f"process {process.name!r} yielded "
-                                f"negative delay {yielded}"
+                                f"non-finite delay {yielded}"
                             )
-                        nxt = when + yielded
-                        if entry[2] is not None:
-                            entry = (epoch, process, None)
-                        if nxt < horizon:
-                            bucket = buckets.get(nxt)
-                            if bucket is None:
-                                buckets[nxt] = [entry]
-                                heappush(times, nxt)
-                            else:
-                                bucket.append(entry)
-                        else:
-                            cal.push_far(nxt, entry)
-                    else:
-                        process._handle_yield(yielded)
+                        cal.push_far(nxt, entry)
                 else:
-                    first = entry[0]
-                    if first.__class__ is Timer:
-                        if first.cancelled:
-                            continue
-                        self._now = when
-                        entry[1]()
-                    else:
-                        self._now = when
-                        first.succeed(entry[1])
+                    process._handle_yield(yielded)
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def _schedule_resume(
-        self,
-        process: Process,
-        value: Any,
-        delay: float = 0.0,
-        epoch: Optional[int] = None,
-    ) -> None:
-        """Queue a process resume as a pre-bound calendar entry.
-
-        No Timer, no closure: the staleness check (epoch mismatch) happens
-        at dispatch time in :meth:`run`.
-        """
-        wait_epoch = process._epoch if epoch is None else epoch
-        self._calendar.push(self._now + delay, (wait_epoch, process, value))

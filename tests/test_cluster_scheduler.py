@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.cluster.pool import Pool, PoolKey, Priority, UseCase, rebalance_pools
+from repro.cluster.pool import Pool, PoolKey, Priority, UseCase
 from repro.cluster.scheduler import BinPackingScheduler, SingleSlotScheduler
 from repro.cluster.worker import VcuWorker
 from repro.sim.rng import make_rng
@@ -402,25 +402,6 @@ class _WholeFleetMaskScheduler(BinPackingScheduler):
 
 
 class TestPools:
-    def test_rebalance_moves_idle_workers_to_pressure(self):
-        upload = Pool(PoolKey(Priority.NORMAL, UseCase.UPLOAD))
-        live = Pool(PoolKey(Priority.CRITICAL, UseCase.LIVE))
-        upload.workers = make_workers(3)
-        live.pending_steps = 10
-        moved = rebalance_pools({upload.key: upload, live.key: live})
-        assert moved > 0
-        assert len(live.workers) == moved
-        assert all(w.pool_key == live.key for w in live.workers)
-
-    def test_no_move_when_donor_busy(self):
-        upload = Pool(PoolKey(Priority.NORMAL, UseCase.UPLOAD))
-        live = Pool(PoolKey(Priority.CRITICAL, UseCase.LIVE))
-        upload.workers = make_workers(1)
-        upload.pending_steps = 5  # donor has its own backlog
-        live.pending_steps = 10
-        moved = rebalance_pools({upload.key: upload, live.key: live})
-        assert moved == 0
-
     def test_demand_pressure(self):
         pool = Pool(PoolKey(Priority.BATCH, UseCase.UPLOAD))
         assert pool.demand_pressure() == 0.0

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.cluster.regions import ClusterSite
 from repro.control.failover import FailoverRouter, SiteRuntime
 from repro.control.jobs import Job, JobRequest, SloClass
 
 
 def make_sites():
     return [
-        SiteRuntime(site=ClusterSite("west", "us", (0.0, 0.0), capacity=2)),
-        SiteRuntime(site=ClusterSite("east", "us", (10.0, 0.0), capacity=2)),
-        SiteRuntime(site=ClusterSite("eu", "eu", (50.0, 0.0), capacity=2)),
+        SiteRuntime("west", "us", (0.0, 0.0), slots=2),
+        SiteRuntime("east", "us", (10.0, 0.0), slots=2),
+        SiteRuntime("eu", "eu", (50.0, 0.0), slots=2),
     ]
 
 
@@ -24,7 +23,7 @@ def make_job(job_id="j1"):
 
 class TestSiteRuntime:
     def test_defaults_derive_from_capacity(self):
-        runtime = SiteRuntime(site=ClusterSite("x", "us", (0, 0), capacity=8))
+        runtime = SiteRuntime("x", "us", (0, 0), slots=8)
         assert runtime.slots == 8
         assert runtime.max_slots == 32
         assert runtime.headroom() == 8
@@ -32,13 +31,10 @@ class TestSiteRuntime:
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            SiteRuntime(
-                site=ClusterSite("x", "us", (0, 0), capacity=4),
-                slots=4, min_slots=1, max_slots=2,
-            )
+            SiteRuntime("x", "us", (0, 0), slots=4, min_slots=1, max_slots=2)
 
     def test_outstanding_counts_queue_and_running(self):
-        runtime = SiteRuntime(site=ClusterSite("x", "us", (0, 0), capacity=4))
+        runtime = SiteRuntime("x", "us", (0, 0), slots=4)
         runtime.queue.push(make_job("q1"))
         runtime.running["r1"] = make_job("r1")
         assert runtime.outstanding() == 2
@@ -101,9 +97,7 @@ class TestRouting:
 
     def test_duplicate_names_rejected(self):
         sites = make_sites()
-        sites[1] = SiteRuntime(
-            site=ClusterSite("west", "us", (1.0, 0.0), capacity=2)
-        )
+        sites[1] = SiteRuntime("west", "us", (1.0, 0.0), slots=2)
         with pytest.raises(ValueError):
             FailoverRouter(sites)
 

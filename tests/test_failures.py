@@ -1,5 +1,7 @@
 """Failure-management tests: injection, screening, black-holing, repair."""
 
+import math
+
 import pytest
 
 from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
@@ -198,6 +200,30 @@ class TestInjectorValidatesFirst:
         sim, _, vcus, injector = self._fleet(1)
         with pytest.raises(ValueError, match="hang duration must be positive"):
             injector.hang_at(1.0, vcus[0], duration=0)
+        self._nothing_injected(sim, injector, vcus)
+
+    def test_infinite_hang_duration(self):
+        # A permanent hang is ``duration=None``.
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            injector.hang_at(5.0, vcus[0], duration=math.inf)
+        self._nothing_injected(sim, injector, vcus)
+
+    @pytest.mark.parametrize(
+        "at_time, duration",
+        [(math.nan, 10.0), (math.inf, 10.0), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_outage(self, at_time, duration):
+        sim, hosts, vcus, injector = self._fleet(2)
+        with pytest.raises(ValueError, match="outage (start|duration) must be"):
+            injector.regional_outage(at_time, hosts, duration=duration)
+        self._nothing_injected(sim, injector, vcus)
+
+    @pytest.mark.parametrize("until", [math.inf, math.nan])
+    def test_non_finite_poisson_horizon(self, until):
+        sim, _, vcus, injector = self._fleet(1)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            injector.random_hangs(3600.0, until=until)
         self._nothing_injected(sim, injector, vcus)
 
     def test_stagger_past_the_outage_end(self):

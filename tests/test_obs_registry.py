@@ -59,23 +59,6 @@ class TestHistogram:
         assert cumulative == sorted(cumulative)
         assert cumulative[-1] == hist.total == 4
 
-    def test_merge_is_bucketwise_addition(self):
-        a = Histogram("h", bounds=(1.0, 2.0))
-        b = Histogram("h", bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        merged = a.merge(b)
-        assert merged.counts == [1, 1, 1]
-        assert merged.total == 3
-        assert merged.sum == pytest.approx(11.0)
-        # Merge does not mutate its inputs.
-        assert a.total == 1 and b.total == 2
-
-    def test_merge_rejects_different_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(1.0,)).merge(Histogram("h", bounds=(2.0,)))
-
     def test_validates_bounds(self):
         with pytest.raises(ValueError):
             Histogram("h", bounds=())

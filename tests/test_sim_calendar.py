@@ -14,7 +14,8 @@ Two oracles pin the PR8 engine swap down:
 
 The satellite behaviours ride along: ``bool`` yields are rejected with a
 useful TypeError, exotic int/float subclasses still work, and
-``Simulator.timeout`` schedules without a Timer+closure round-trip.
+``Simulator.timeout`` delivers its value, eagerly rejects a negative
+delay and fires ties in schedule order.
 """
 
 from __future__ import annotations

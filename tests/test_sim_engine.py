@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim import Simulator
@@ -76,23 +78,6 @@ def test_process_waits_on_event_and_receives_value():
     assert got == [(6.0, "payload")]
 
 
-def test_process_waits_on_process_return_value():
-    sim = Simulator()
-    results = []
-
-    def inner():
-        yield 2.0
-        return 99
-
-    def outer():
-        value = yield sim.process(inner())
-        results.append(value)
-
-    sim.process(outer())
-    sim.run()
-    assert results == [99]
-
-
 def test_event_fires_once_only():
     sim = Simulator()
     event = sim.event()
@@ -154,6 +139,38 @@ def test_negative_delay_rejected():
         sim.run()
 
 
+def _sleep(delay):
+    def schedule(sim):
+        def sleeper():
+            yield delay
+
+        sim.process(sleeper(), name="sleeper")
+        sim.run(until=10.0)
+
+    return schedule
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        (_sleep(math.inf), "'sleeper' yielded non-finite delay"),
+        (_sleep(math.nan), "'sleeper' yielded non-finite delay"),
+        (lambda sim: sim.call_at(math.nan, lambda: None), "non-finite time"),
+        (lambda sim: sim.timeout(math.inf), "non-finite time"),
+    ],
+    ids=["yield-inf", "yield-nan", "call_at-nan", "timeout-inf"],
+)
+def test_non_finite_time_rejected_where_scheduled(schedule, message):
+    sim = Simulator()
+    fired = []
+    sim.call_at(3.0, lambda: fired.append(sim.now))
+    with pytest.raises(ValueError, match=message):
+        schedule(sim)
+    assert fired == [] and sim.now == 0.0
+    sim.run()  # the finite schedule is intact
+    assert fired == [3.0]
+
+
 def test_scheduling_in_the_past_rejected():
     sim = Simulator()
     sim.call_in(5.0, lambda: None)
@@ -163,14 +180,20 @@ def test_scheduling_in_the_past_rejected():
 
 
 def test_bad_yield_type_rejected():
-    sim = Simulator()
+    def idle():
+        yield 1.0
 
-    def proc():
+    def proc(sim):
         yield "nonsense"  # lint: allow=sim-yield -- the bad yield under test
 
-    sim.process(proc())
-    with pytest.raises(TypeError):
-        sim.run()
+    def waits_on_process(sim):
+        yield sim.process(idle())  # a Process is not an Event
+
+    for bad, type_name in ((proc, "str"), (waits_on_process, "Process")):
+        sim = Simulator()
+        sim.process(bad(sim))
+        with pytest.raises(TypeError, match=type_name):
+            sim.run()
 
 
 # --------------------------------------------------------------------- #
@@ -228,13 +251,14 @@ def test_any_of_can_race_a_process_against_a_deadline():
     sim = Simulator()
     outcomes = []
 
-    def work(seconds):
+    def work(seconds, finished):
         yield seconds
-        return "finished"
+        finished.succeed("finished")
 
     def supervise(seconds, deadline):
-        job = sim.process(work(seconds))
-        index, value = yield sim.any_of([job.done, sim.timeout(deadline, "deadline")])
+        finished = sim.event()
+        sim.process(work(seconds, finished))
+        index, value = yield sim.any_of([finished, sim.timeout(deadline, "deadline")])
         if index == 0:
             outcomes.append(("ok", value))
         else:
