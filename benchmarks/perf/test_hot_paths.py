@@ -135,7 +135,10 @@ def _encode(frames, nominal, profile, encoder_class):
 class TestEncodeHotPath:
     @pytest.mark.parametrize("name", ["libx264", "vcu-vp9"])
     def test_batched_encode_beats_reference(self, benchmark, name):
-        height, width, count = 64, 96, 2
+        # README's shape (Performance): at 64x96 x 2 frames the ratio
+        # spread across the floor on unchanged code, since fixed per-frame
+        # costs dominate that little work.
+        height, width, count = 96, 160, 4
         frames = _synthetic_frames(height, width, count)
         nominal = Resolution(
             pixels=width * height, width=width, height=height, name="bench"
@@ -151,8 +154,8 @@ class TestEncodeHotPath:
             lambda: _encode(frames, nominal, profile, Encoder),
             rounds=1, iterations=1, warmup_rounds=0,
         )
-        # Loose floor for this tiny workload; at 160x96 x 4 frames the
-        # batched encoder measured 3.4x in aggregate (README, Performance).
+        # Loose floor: at this shape the batched encoder measured 3.4x in
+        # aggregate (README, Performance).
         assert reference_s / fast_s > 2.0
 
 

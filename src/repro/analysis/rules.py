@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from fnmatch import fnmatch
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.core import FileContext, Finding, Rule, register
 
@@ -607,22 +607,35 @@ class FloatParityRule(Rule):
 
 @register
 class HygieneRule(Rule):
-    """Mutable default arguments and bare ``except:``.
+    """Mutable default arguments, bare ``except:``, self-referring closures.
 
     A mutable default is shared across every call -- in a fleet model
     that means cross-run state leaking between supposedly independent
     simulations.  A bare ``except:`` swallows ``GeneratorExit`` (what
     closing a simulation process's generator throws into it) and
-    ``KeyboardInterrupt`` alike.
+    ``KeyboardInterrupt`` alike.  A nested function that refers to its
+    own name holds itself through its closure cell, a reference cycle
+    made on every call of the enclosing function that only the cyclic
+    collector frees, with everything the closure holds; the simulation
+    code under ``src/repro/`` is freed by reference counting instead
+    (DESIGN.md "Object lifetime"), so there recursion goes in a
+    module-level helper or a loop.  The analyzer
+    (``src/repro/analysis/``) runs once per lint and is exempt.
     """
 
     id = "hygiene"
-    summary = "no mutable default arguments; no bare except"
+    summary = (
+        "no mutable default arguments; no bare except; no self-referring"
+        " nested function in the simulation code"
+    )
 
     MUTABLE_CALLS = frozenset({
         "list", "dict", "set", "bytearray",
         "collections.defaultdict", "collections.deque", "collections.OrderedDict",
     })
+    #: Where a self-referring nested function is flagged.
+    CLOSURE_SCOPE = ("src/repro/*",)
+    CLOSURE_EXEMPT = ("src/repro/analysis/*",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func in _functions(ctx.tree):
@@ -645,6 +658,24 @@ class HygieneRule(Rule):
                     "bare 'except:' swallows GeneratorExit/KeyboardInterrupt; "
                     "name the exceptions you mean",
                 )
+        if any(fnmatch(ctx.path, pat) for pat in self.CLOSURE_SCOPE) and not any(
+            fnmatch(ctx.path, pat) for pat in self.CLOSURE_EXEMPT
+        ):
+            yield from self._self_referring_closures(ctx)
+
+    def _self_referring_closures(self, ctx: FileContext) -> Iterator[Finding]:
+        for outer in _functions(ctx.tree):
+            for node in _walk_scope(outer.body):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and _refers_to_itself(node):
+                    yield ctx.finding(
+                        self.id, node,
+                        f"nested function '{node.name}' refers to itself, so "
+                        f"each call of '{outer.name}' leaves a function-cell "
+                        "cycle for the cyclic collector; make it a "
+                        "module-level helper or a loop",
+                    )
 
     def _mutable(self, node: ast.expr, ctx: FileContext) -> Optional[str]:
         if isinstance(node, ast.List):
@@ -658,6 +689,37 @@ class HygieneRule(Rule):
             if dotted in self.MUTABLE_CALLS:
                 return f"{dotted}()"
         return None
+
+
+def _refers_to_itself(func: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> bool:
+    """Whether ``func``'s body reads ``func``'s name as a free variable.
+
+    A name ``func`` binds itself (a parameter, an assignment, an import
+    or a nested definition) shadows the enclosing binding, so reads of
+    it do not reach the function.
+    """
+    name = func.name
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    if any(arg.arg == name for arg in params):
+        return False
+    for node in _walk_scope(func.body):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound = node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = node.name
+        elif isinstance(node, ast.alias):
+            bound = node.asname or node.name.partition(".")[0]
+        else:
+            continue
+        if bound == name:
+            return False
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        and isinstance(node.ctx, ast.Load)
+        for stmt in func.body for node in ast.walk(stmt)
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -31,8 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import (
-    Callable, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -57,6 +56,7 @@ from repro.failures.watchdog import (
     WatchdogPolicy,
 )
 from repro.sim.engine import Simulator
+from repro.sim.hooks import WeakHook
 from repro.sim.rng import SeedLike, make_rng
 from repro.transcode.pipeline import Step, StepGraph
 from repro.vcu.host import VcuHost
@@ -125,6 +125,20 @@ class ClusterStats:
 class TranscodeCluster:
     """A cluster of VCU and CPU workers executing step graphs."""
 
+    on_graph_done = WeakHook(
+        """Called with each graph exactly once, at completion time.  The
+        control plane uses this to close the job-lifecycle loop when a
+        :class:`~repro.control.plane.ClusterExecutor` backs a site.  A
+        bound method is held weakly (see :class:`~repro.sim.hooks.WeakHook`),
+        so the executor that set it is not kept alive by the cluster."""
+    )
+    on_step_done = WeakHook(
+        """Called once per completed step; streaming-ladder sessions use
+        this to drive manifest alignment barriers.  Set after construction
+        by :class:`~repro.transcode.streaming.LadderDispatcher`, whose
+        bound method is held weakly like :attr:`on_graph_done`'s."""
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -168,14 +182,6 @@ class TranscodeCluster:
             self._affinity = ChunkAffinityPolicy(
                 ring, affinity_size=min(affinity_size, len(self.vcu_workers))
             )
-        #: Invoked with each graph exactly once, at completion time.  The
-        #: control plane uses this to close the job-lifecycle loop when a
-        #: :class:`~repro.control.plane.ClusterExecutor` backs a site.
-        self.on_graph_done: Optional[Callable[[StepGraph], None]] = None
-        #: Invoked once per completed step (streaming-ladder sessions use
-        #: this to drive manifest alignment barriers); set post-construction
-        #: by :class:`~repro.transcode.streaming.LadderDispatcher`.
-        self.on_step_done: Optional[Callable[[Step], None]] = None
         #: When set, segment steps record per-rung queue waits here.
         self.ladder_metrics: Optional[MetricsRegistry] = None
         self.stats = ClusterStats(throughput=ThroughputWindow(start_time=sim.now))
@@ -722,8 +728,9 @@ class TranscodeCluster:
             if step.processed_by:
                 per_vcu = self.stats.per_vcu_megapixels
                 per_vcu[step.processed_by] = per_vcu.get(step.processed_by, 0.0) + megapixels
-        if self.on_step_done is not None:
-            self.on_step_done(step)
+        on_step_done = self.on_step_done
+        if on_step_done is not None:
+            on_step_done(step)
         for dependent in self._dependents.get(id(step), []):
             self._remaining_deps[id(dependent)] -= 1
             if self._remaining_deps[id(dependent)] == 0:
@@ -748,8 +755,9 @@ class TranscodeCluster:
                     t0=graph.submitted_at, t1=graph.completed_at,
                     attrs={"steps": len(graph.steps)},
                 )
-            if self.on_graph_done is not None:
-                self.on_graph_done(graph)
+            on_graph_done = self.on_graph_done
+            if on_graph_done is not None:
+                on_graph_done(graph)
 
     # ------------------------------------------------------------------ #
     # Metrics

@@ -49,6 +49,34 @@ LEAF_ROWS = 1024
 _add_reduce = np.add.reduce
 
 
+def _split(
+    lo: int,
+    rows: int,
+    parent: int,
+    parents: List[int],
+    children: List[Tuple[int, int]],
+    leaves: List[Tuple[int, int, int]],
+) -> int:
+    """Number the span ``[lo, lo + rows)`` and its halves, parents first.
+
+    Appends the span's node to ``parents`` and ``children`` (and, for a
+    span of at most :data:`LEAF_ROWS`, to ``leaves``), recurses into the
+    halves numpy's pairwise sum splits it into, and returns the node.
+    """
+    node = len(parents)
+    parents.append(parent)
+    children.append((-1, -1))
+    if rows <= LEAF_ROWS:
+        leaves.append((lo, lo + rows, node))
+    else:
+        half = rows // 2 - rows // 2 % 8
+        children[node] = (
+            _split(lo, half, node, parents, children, leaves),
+            _split(lo + half, rows - half, node, parents, children, leaves),
+        )
+    return node
+
+
 class LiveSums:
     """Sums of the masked rows of two float64 columns, as numpy adds them.
 
@@ -109,21 +137,7 @@ class LiveSums:
         parents: List[int] = []
         children: List[Tuple[int, int]] = []
         leaves: List[Tuple[int, int, int]] = []
-
-        def split(lo: int, rows: int, parent: int) -> int:
-            node = len(parents)
-            parents.append(parent)
-            children.append((-1, -1))
-            if rows <= LEAF_ROWS:
-                leaves.append((lo, lo + rows, node))
-            else:
-                half = rows // 2 - rows // 2 % 8
-                children[node] = (
-                    split(lo, half, node), split(lo + half, rows - half, node)
-                )
-            return node
-
-        split(0, len(live[0]), -1)
+        _split(0, len(live[0]), -1, parents, children, leaves)
         sums = ([0.0] * len(parents), [0.0] * len(parents))
         for lo, hi, node in leaves:
             for column, column_sums in zip(live, sums):

@@ -148,7 +148,7 @@ def run_month(
         sim.call_at(video.arrival_time, lambda g=graph: cluster.submit(g))
 
     end = sim.run(until=horizon_seconds)
-    return MonthResult(
+    result = MonthResult(
         month=config.month,
         total_megapixels=cluster.stats.throughput.total_megapixels,
         wall_seconds=horizon_seconds,
@@ -156,6 +156,10 @@ def run_month(
         encoder_utilization=cluster.encoder_util.average(end),
         vcu_workers=worker_count,
     )
+    # The horizon cut leaves the saturated backlog's processes and the
+    # unreached arrivals queued; dropping them frees the month now.
+    sim.close()
+    return result
 
 
 def live_adoption_curve(months: int = 12, saturation: float = 4.0) -> List[float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro import obs
 from repro.baselines.cpu import SkylakeSystem
@@ -26,6 +26,7 @@ from repro.cluster.health import (
     HealthState,
     IllegalHealthTransition,
 )
+from repro.sim.hooks import WeakHook
 from repro.sim.resources import MultiResource
 from repro.vcu.chip import Vcu, VcuTask, processing_seconds, resource_request
 from repro.vcu.spec import VcuSpec
@@ -62,6 +63,14 @@ class Worker:
 class VcuWorker(Worker):
     """A worker bound 1:1 to a VCU."""
 
+    on_availability_change = WeakHook(
+        """Optional observer called with this worker after every health
+        transition.  The owning cluster keeps its availability count exact
+        through this hook instead of rescanning the fleet.  A bound method
+        is held weakly (see :class:`~repro.sim.hooks.WeakHook`), so the
+        hook does not keep its cluster alive."""
+    )
+
     def __init__(
         self,
         vcu: Vcu,
@@ -87,10 +96,6 @@ class VcuWorker(Worker):
         self.health = HealthState.HEALTHY
         self.strikes = 0
         self.rescreen_failures = 0
-        #: Optional observer invoked (with this worker) after every health
-        #: transition -- the owning cluster keeps its availability count
-        #: exact through this hook instead of rescanning the fleet.
-        self.on_availability_change: Optional[Callable[["VcuWorker"], None]] = None
         if host_multiplier is None:
             host_multiplier = 1.0 if numa_aware else 1.0 / 1.20
         self.host_multiplier = host_multiplier

@@ -358,14 +358,25 @@ class ControlPlane:
     def schedule_outage(
         self, site_name: str, at: float, duration_seconds: float
     ) -> None:
-        """Arrange a regional outage: down at ``at``, back after ``duration``."""
+        """Arrange a regional outage: down at ``at``, back after ``duration``.
+
+        Every argument is checked before either timer is queued, so a
+        rejected call leaves no half-scheduled outage behind.
+        """
         self.router.site(site_name)  # validate early
-        if duration_seconds <= 0:
-            raise ValueError("outage duration must be positive")
+        if not self.sim.now <= at < math.inf:
+            raise ValueError(
+                f"outage start must be finite and not before now={self.sim.now},"
+                f" got {at}"
+            )
+        up_at = at + duration_seconds
+        if not (duration_seconds > 0 and up_at < math.inf):
+            raise ValueError(
+                "outage duration must be positive and end at a finite time,"
+                f" got {duration_seconds}"
+            )
         self.sim.call_at(at, lambda: self.site_down(site_name))
-        self.sim.call_at(
-            at + duration_seconds, lambda: self.site_up(site_name)
-        )
+        self.sim.call_at(up_at, lambda: self.site_up(site_name))
 
     def site_down(self, site_name: str) -> None:
         """Regional outage: drain the site to survivors, shed the excess."""

@@ -255,8 +255,28 @@ class Simulator:
             self.process(_racer(index, source), name=f"any_of[{index}]")
         return combined
 
+    def close(self) -> None:
+        """Drop every pending entry and the active process.
+
+        A run cut by ``run(until=...)`` leaves work queued: processes
+        whose generator frames hold the models they drive, and timers
+        whose callbacks do, while those models hold this simulator.
+        Closing breaks that cycle, so the finished run is freed by
+        reference counting as soon as its owner lets go of it.  The
+        dropped generators are closed as they are freed, which runs
+        their ``finally`` blocks.  The clock keeps its value, and the
+        simulator stays usable: anything scheduled afterwards runs on an
+        empty calendar.
+        """
+        self._calendar = CalendarQueue(self._calendar.span)
+        self.active_process = None
+
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the calendar drains or the clock passes ``until``.
+
+        ``until`` must be finite and not before :attr:`now`: the clock
+        never moves backwards, so a past, NaN or infinite ``until``
+        raises :class:`ValueError` before anything runs.
 
         Returns the final virtual time.  Dispatch is batched: the whole
         same-timestamp bucket is drained in one pass, in push order --
@@ -274,6 +294,10 @@ class Simulator:
         non-finite resume time cannot fall below the near tier's
         horizon, so it is rejected on the far branch only.
         """
+        if until is not None and not self._now <= until < math.inf:
+            raise ValueError(
+                f"run(until={until}) must be finite and not before now={self._now}"
+            )
         cal = self._calendar
         buckets = cal.buckets
         times = cal.times

@@ -83,21 +83,21 @@ class StepGraph:
 
     def _validate_acyclic(self) -> None:
         seen: Dict[int, int] = {}  # id -> 0 visiting, 1 done
-
-        def visit(step: Step) -> None:
-            state = seen.get(id(step))
-            if state == 0:
-                raise ValueError(f"dependency cycle through step {step.step_id}")
-            if state == 1:
-                return
-            seen[id(step)] = 0
-            for dep in step.depends_on:
-                visit(dep)
-            seen[id(step)] = 1
-
         for step in self.steps:
-            visit(step)
+            _visit(step, seen)
 
+
+def _visit(step: Step, seen: Dict[int, int]) -> None:
+    """Depth-first walk of ``step``'s dependencies; raises on a cycle."""
+    state = seen.get(id(step))
+    if state == 0:
+        raise ValueError(f"dependency cycle through step {step.step_id}")
+    if state == 1:
+        return
+    seen[id(step)] = 0
+    for dep in step.depends_on:
+        _visit(dep, seen)
+    seen[id(step)] = 1
 
 
 def build_transcode_graph(

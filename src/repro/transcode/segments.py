@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Process, Simulator
+from repro.sim.hooks import WeakHook
 from repro.transcode.modes import WorkloadClass, mode_for
 from repro.transcode.pipeline import Step, StepGraph, ladder_steps
 from repro.video.frame import Resolution, output_ladder, resolution
@@ -172,6 +173,13 @@ class SegmentWatcher:
     moment the watcher starts.
     """
 
+    on_release = WeakHook(
+        """Called with each :class:`SegmentRelease`.  The stream session
+        that owns this watcher passes one of its bound methods, held
+        weakly (see :class:`~repro.sim.hooks.WeakHook`), so the watcher
+        does not keep its session alive."""
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -214,7 +222,9 @@ class SegmentWatcher:
             deadline=deadline,
         )
         self.released.append(release)
-        self.on_release(release)
+        on_release = self.on_release
+        if on_release is not None:
+            on_release(release)
 
 
 class BarrierViolation(RuntimeError):

@@ -44,7 +44,14 @@ if TYPE_CHECKING:  # deferred: repro.cluster imports back into transcode
 
 
 class StreamSession:
-    """One stream's watcher -> encode -> manifest lifecycle."""
+    """One stream's watcher -> encode -> manifest lifecycle.
+
+    The dispatcher owns its sessions, so a session keeps what it uses of
+    the dispatcher (the simulator, the ``ladder.*`` registry and the
+    cluster) rather than the dispatcher itself, and drops ``on_final``
+    once it has called it: no reference cycle outlives a finished
+    stream.
+    """
 
     def __init__(
         self,
@@ -52,16 +59,18 @@ class StreamSession:
         spec: StreamSpec,
         on_final: Optional[Callable[["StreamSession"], None]] = None,
     ) -> None:
-        self.dispatcher = dispatcher
+        self.sim = dispatcher.sim
+        self.metrics = dispatcher.metrics
+        self.cluster = dispatcher.cluster
         self.spec = spec
         self.on_final = on_final
-        self.started_at = dispatcher.sim.now
+        self.started_at = self.sim.now
         self.finished_at: Optional[float] = None
         self.assembler = ManifestAssembler(
             spec.stream_id, spec.rung_keys(), started_at=self.started_at
         )
         self.watcher = SegmentWatcher(
-            dispatcher.sim, spec, self._segment_released
+            self.sim, spec, self._segment_released
         )
         self._ttfs_recorded = False
 
@@ -70,7 +79,7 @@ class StreamSession:
         return self.finished_at is not None
 
     def start(self) -> None:
-        self.dispatcher.metrics.counter("ladder.streams.started").inc()
+        self.metrics.counter("ladder.streams.started").inc()
         hub = obs.active()
         if hub is not None:
             hub.emit(
@@ -88,25 +97,25 @@ class StreamSession:
         self.assembler.release(
             release.index, at=release.released_at, deadline=release.deadline
         )
-        self.dispatcher.metrics.counter("ladder.segments.released").inc()
+        self.metrics.counter("ladder.segments.released").inc()
         hub = obs.active()
         if hub is not None:
             hub.emit(
                 "segment", f"{self.spec.stream_id}/{release.index}",
                 t0=release.released_at,
             )
-        self.dispatcher.cluster.submit(build_segment_graph(self.spec, release))
+        self.cluster.submit(build_segment_graph(self.spec, release))
 
     # -- rung completion ----------------------------------------------
 
     def _rung_done(self, step: Step) -> None:
-        now = self.dispatcher.sim.now
+        now = self.sim.now
         entries = self.assembler.complete_rung(
             segment_index_of(step), rung_key_of(step), at=now
         )
         if not entries:
             return
-        metrics = self.dispatcher.metrics
+        metrics = self.metrics
         tracked = self.spec.deadline_seconds is not None
         hub = obs.active()
         for entry in entries:
@@ -136,7 +145,7 @@ class StreamSession:
 
     def _finalize(self, now: float) -> None:
         self.finished_at = now
-        self.dispatcher.metrics.counter("ladder.streams.completed").inc()
+        self.metrics.counter("ladder.streams.completed").inc()
         hub = obs.active()
         if hub is not None:
             hub.emit(
@@ -146,8 +155,9 @@ class StreamSession:
                     "ttfs": round(self.assembler.time_to_first_segment or 0.0, 9),
                 },
             )
-        if self.on_final is not None:
-            self.on_final(self)
+        on_final, self.on_final = self.on_final, None
+        if on_final is not None:
+            on_final(self)
 
 
 class LadderDispatcher:

@@ -10,6 +10,7 @@ management stack operates on (Section 4.4).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -191,16 +192,25 @@ class Vcu:
             name=self.vcu_id,
         )
         self.telemetry = VcuTelemetry(self.vcu_id)
-        #: The :class:`~repro.vcu.host.VcuHost` this device sits in, if
-        #: any.  :meth:`disable` and :meth:`enable` keep its
-        #: ``disabled_vcus`` count and ``sweep_due`` flag exact.
-        self.host: Optional["VcuHost"] = None
+        # Set by the host that holds this device; read through ``host``.
+        self._host_ref: Optional["weakref.ref[VcuHost]"] = None
         self.disabled = False
         self.corrupt = False
         #: A wedged device: in-flight steps never complete on their own.
         #: Only a watchdog deadline (or a repair) gets the work back.
         self.hung = False
         self._completed_tasks = 0
+
+    @property
+    def host(self) -> Optional["VcuHost"]:
+        """The :class:`~repro.vcu.host.VcuHost` this device sits in, if any.
+
+        :meth:`disable` and :meth:`enable` keep its ``disabled_vcus``
+        count and ``sweep_due`` flag exact.  The host owns its devices,
+        so this back-pointer is a weak reference: it closes no cycle.
+        """
+        ref = self._host_ref
+        return None if ref is None else ref()
 
     def try_admit(self, request: Dict[str, float]) -> bool:
         """Reserve a task's resource vector; False if it does not fit."""
@@ -254,18 +264,20 @@ class Vcu:
     def disable(self) -> None:
         if not self.disabled:
             self.disabled = True
-            if self.host is not None:
-                self.host.disabled_vcus += 1
+            host = self.host
+            if host is not None:
+                host.disabled_vcus += 1
         self._device_event("disable")
 
     def enable(self) -> None:
         if self.disabled:
             self.disabled = False
-            if self.host is not None:
-                self.host.disabled_vcus -= 1
+            host = self.host
+            if host is not None:
+                host.disabled_vcus -= 1
                 # A tripped device re-enabled without a reset must be
                 # disabled again by the next sweep.
-                self.host.sweep_due = True
+                host.sweep_due = True
         self.corrupt = False
         self.hung = False
         self._device_event("enable")

@@ -9,6 +9,7 @@ host accumulates component faults until it is marked unusable.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -83,9 +84,13 @@ class VcuHost:
         #: How many of :attr:`vcus` are disabled, kept by the devices'
         #: own :meth:`Vcu.disable` / :meth:`Vcu.enable`.
         self.disabled_vcus = 0
+        # Devices point back here without owning this host: one weak
+        # reference, shared by all of them, so no cycle joins a host and
+        # its devices.
+        back = weakref.ref(self)
         for vcu in self.vcus:
-            vcu.host = self
-            vcu.telemetry.host = self
+            vcu._host_ref = back
+            vcu.telemetry._host_ref = back
         self.unusable = False
         self.component_faults = 0
         #: Faults before the host is queued for repair (dozens of discrete

@@ -9,6 +9,7 @@ detect), so uncorrectable counts matter more than corrected ones.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -64,10 +65,20 @@ class VcuTelemetry:
     history: List[Tuple[float, FaultKind]] = field(default_factory=list)
     #: Some counter has reached its disable threshold (sticky until reset).
     tripped: bool = field(default=False, init=False)
-    #: The host this device sits in (set by the host), told of each trip.
-    host: Optional["VcuHost"] = field(
+    # Set by the host that holds this device; read through ``host``.
+    _host_ref: Optional["weakref.ref[VcuHost]"] = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    @property
+    def host(self) -> Optional["VcuHost"]:
+        """The host this device sits in, told of each trip.
+
+        A weak reference, as :attr:`repro.vcu.chip.Vcu.host` is: the
+        host owns its devices and their telemetry.
+        """
+        ref = self._host_ref
+        return None if ref is None else ref()
 
     def record(self, kind: FaultKind, at_time: float = 0.0, count: int = 1) -> None:
         if count < 1:
@@ -77,8 +88,9 @@ class VcuTelemetry:
         self.history.append((at_time, kind))
         if total >= DISABLE_THRESHOLDS[kind] and not self.tripped:
             self.tripped = True
-            if self.host is not None:
-                self.host.sweep_due = True
+            host = self.host
+            if host is not None:
+                host.sweep_due = True
 
     def reset(self) -> None:
         """Clean counters, as after a repair swaps the faulty silicon."""

@@ -461,6 +461,78 @@ class TestHygieneRule:
         assert findings == []
         assert suppressed == 1
 
+    SELF_REFERRING = """\
+        def validate(steps):
+            seen = {}
+
+            def visit(step):
+                for dep in step.depends_on:
+                    visit(dep)
+
+            for step in steps:
+                visit(step)
+
+
+        class Sweeper:
+            def start(self, sim):
+                def tick():
+                    self.sweep()
+                    sim.call_in(60.0, tick)
+
+                sim.call_in(60.0, tick)
+        """
+
+    def test_flags_nested_function_referring_to_itself(self):
+        findings, _ = lint(self.SELF_REFERRING)
+        assert lines(findings, "hygiene") == [4, 14]
+        assert "'visit' refers to itself" in findings[0].message
+
+    def test_self_referring_closure_outside_the_simulation_code_is_clean(self):
+        for path in ("src/repro/analysis/fake.py", "tests/test_fake.py"):
+            findings, _ = lint(self.SELF_REFERRING, path=path)
+            assert lines(findings, "hygiene") == [], path
+
+    def test_clean_module_level_recursion_and_shadowed_names(self):
+        findings, _ = lint(
+            """\
+            def visit(step, seen):
+                for dep in step.depends_on:
+                    visit(dep, seen)
+
+
+            def validate(steps):
+                seen = {}
+
+                def walk(step):
+                    visit(step, seen)
+
+                def fold(fold, items):
+                    return fold(items)
+
+                def relabel(items):
+                    relabel = sorted(items)
+                    return relabel
+
+                for step in steps:
+                    walk(step)
+                return fold, relabel
+            """
+        )
+        assert findings == []
+
+    def test_pragma_suppresses_self_referring_closure(self):
+        findings, suppressed = lint(
+            """\
+            def depth(tree):
+                def walk(node):  # lint: allow=hygiene -- one tiny tree per run
+                    return 1 + max((walk(c) for c in node.children), default=0)
+
+                return walk(tree)
+            """
+        )
+        assert findings == []
+        assert suppressed == 1
+
 
 # --------------------------------------------------------------------- #
 # capacity-through-scheduler

@@ -1,6 +1,8 @@
 """End-to-end control-plane tests: lifecycle, shedding, failover, and the
 global-platform-day scenario's SLO scorecard."""
 
+import math
+
 import pytest
 
 from repro.cluster.autoscale import CapacityAutoscaleConfig
@@ -139,6 +141,20 @@ class TestFailover:
         assert plane.router.failover_routed > 0
         # The cancelled attempts consumed retry budget.
         assert plane.retries[SloClass.UPLOAD] >= plane.drained_running
+
+    @pytest.mark.parametrize("at, duration", [
+        (10.0, math.inf), (10.0, math.nan), (10.0, 0.0), (10.0, -5.0),
+        (math.nan, 5.0), (math.inf, 5.0), (-1.0, 5.0), (1e308, 1e308),
+    ])
+    def test_rejected_outage_schedules_nothing(self, at, duration):
+        sim = Simulator()
+        plane = ControlPlane(sim, two_sites())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outage"):
+                plane.schedule_outage("east", at=at, duration_seconds=duration)
+        assert sim.run(until=100.0) == 100.0
+        assert plane.router.site("east").up
+        assert plane.outages_started == 0
 
     def test_total_blackout_parks_instead_of_shedding(self):
         sim = Simulator()

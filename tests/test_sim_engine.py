@@ -47,6 +47,60 @@ def test_run_until_advances_idle_clock():
     assert sim.now == 42.0
 
 
+def test_run_until_in_the_past_rejected_and_clock_kept():
+    sim = Simulator()
+    order = []
+    sim.call_at(10.0, lambda: order.append(10.0))
+    sim.call_at(20.0, lambda: order.append(20.0))
+    sim.run(until=15.0)
+    with pytest.raises(ValueError, match="until"):
+        sim.run(until=5.0)
+    assert sim.now == 15.0  # the clock did not move backwards
+    assert sim.run(until=15.0) == 15.0  # until == now is not the past
+    with pytest.raises(ValueError, match="before now"):
+        sim.call_at(7.0, lambda: order.append(7.0))
+    sim.run()
+    assert order == [10.0, 20.0]
+
+
+@pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+def test_non_finite_until_rejected_before_anything_runs(until):
+    sim = Simulator()
+    fired = []
+    sim.call_at(3.0, lambda: fired.append(sim.now))
+    with pytest.raises(ValueError, match="until"):
+        sim.run(until=until)
+    assert sim.now == 0.0
+    assert fired == []
+    assert sim.run() == 3.0
+    assert fired == [3.0]
+
+
+def test_close_drops_pending_work_and_keeps_the_clock():
+    sim = Simulator()
+    trace = []
+
+    def ticker():
+        try:
+            while True:
+                yield 1.0
+                trace.append(sim.now)
+        finally:
+            trace.append("closed")
+
+    sim.process(ticker())
+    sim.call_at(50.0, lambda: trace.append("late timer"))
+    sim.run(until=2.5)
+    sim.close()
+    assert trace == [1.0, 2.0, "closed"]
+    assert sim.now == 2.5
+    assert sim.active_process is None
+    assert sim.run() == 2.5  # nothing left to run
+    sim.call_in(1.0, lambda: trace.append(sim.now))
+    sim.run()
+    assert trace[-1] == 3.5
+
+
 def test_process_yields_delays():
     sim = Simulator()
     trace = []
