@@ -201,11 +201,14 @@ class TranscodeCluster:
             "hw": deque(), "hw_swdec": deque(), "hw_opp": deque(), "cpu": deque(),
         }
         self._arrival_seq = 0
-        self._graphs: List[StepGraph] = []
+        # Per-step bookkeeping, keyed by ``id()`` and dropped when the step
+        # (or, for ``_graph_remaining``, its graph's last step) completes,
+        # so a drained cluster holds none of it.  An entry never outlives
+        # its object: each step's ``_graph_of`` entry keeps its graph, and
+        # so every step of it, alive until the step completes.
+        self._graph_of: Dict[int, StepGraph] = {}
         self._remaining_deps: Dict[int, int] = {}
         self._dependents: Dict[int, List[Step]] = {}
-        self._done: Set[int] = set()
-        self._graph_of: Dict[int, StepGraph] = {}
         self._graph_remaining: Dict[int, int] = {}
         # Each transcode step's VCU resource request, from its first
         # hardware placement attempt until it completes.
@@ -258,7 +261,6 @@ class TranscodeCluster:
     def submit(self, graph: StepGraph) -> None:
         """Register a step graph; its ready steps enter the work queue."""
         graph.submitted_at = self.sim.now
-        self._graphs.append(graph)
         self._graph_remaining[id(graph)] = len(graph.steps)
         for step in graph.steps:
             self._graph_of[id(step)] = graph
@@ -717,10 +719,14 @@ class TranscodeCluster:
     # Completion
 
     def _complete(self, step: Step, corrupt: bool) -> None:
-        if id(step) in self._done:
+        key = id(step)
+        # The step is alive, so no other step has its id: a missing entry
+        # means this step's bookkeeping already ended.
+        graph = self._graph_of.pop(key, None)
+        if graph is None:
             raise RuntimeError(f"step {step.step_id} completed twice")
-        self._done.add(id(step))
-        self._vcu_requests.pop(id(step), None)
+        del self._remaining_deps[key]
+        self._vcu_requests.pop(key, None)
         self.stats.completed_steps += 1
         if step.is_transcode() and not corrupt:
             megapixels = step.vcu_task.output_pixels / 1e6
@@ -731,18 +737,19 @@ class TranscodeCluster:
         on_step_done = self.on_step_done
         if on_step_done is not None:
             on_step_done(step)
-        for dependent in self._dependents.get(id(step), []):
+        for dependent in self._dependents.pop(key, ()):
             self._remaining_deps[id(dependent)] -= 1
             if self._remaining_deps[id(dependent)] == 0:
                 self._enqueue(dependent, set())
-        self._check_graph_done(step)
+        self._check_graph_done(graph)
 
-    def _check_graph_done(self, step: Step) -> None:
-        graph = self._graph_of.get(id(step))
-        if graph is None:
+    def _check_graph_done(self, graph: StepGraph) -> None:
+        remaining = self._graph_remaining[id(graph)] - 1
+        if remaining:
+            self._graph_remaining[id(graph)] = remaining
             return
-        self._graph_remaining[id(graph)] -= 1
-        if self._graph_remaining[id(graph)] == 0 and graph.completed_at is None:
+        del self._graph_remaining[id(graph)]
+        if graph.completed_at is None:
             graph.completed_at = self.sim.now
             self.stats.completed_graphs += 1
             latency = graph.completed_at - graph.submitted_at

@@ -89,3 +89,7 @@ class HealthPolicy:
             raise ValueError("rescreen_backoff must be >= 1")
         if self.max_rescreen_failures < 1:
             raise ValueError("max_rescreen_failures must be >= 1")
+
+
+#: The policy of every worker built without one (frozen, so shareable).
+DEFAULT_HEALTH_POLICY = HealthPolicy()

@@ -15,12 +15,13 @@ cluster level -- the black-holing mitigation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro import obs
 from repro.baselines.cpu import SkylakeSystem
 from repro.cluster.health import (
+    DEFAULT_HEALTH_POLICY,
     LEGAL_HEALTH_TRANSITIONS,
     HealthPolicy,
     HealthState,
@@ -29,7 +30,6 @@ from repro.cluster.health import (
 from repro.sim.hooks import WeakHook
 from repro.sim.resources import MultiResource
 from repro.vcu.chip import Vcu, VcuTask, processing_seconds, resource_request
-from repro.vcu.spec import VcuSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vcu.host import VcuHost
@@ -83,6 +83,22 @@ class VcuWorker(Worker):
         host: Optional["VcuHost"] = None,
         health_policy: Optional[HealthPolicy] = None,
     ):
+        if host_multiplier is None:
+            host_multiplier = 1.0 if numa_aware else 1.0 / 1.20
+        # Each of these is first read by the first step placed here, mid-run;
+        # a bad value fails now instead (a NaN speedup would never fail).
+        if not 0 < target_speedup < math.inf:
+            raise ValueError(f"target_speedup must be finite and > 0, got {target_speedup}")
+        if not 1 <= decode_safety_factor < math.inf:
+            raise ValueError(
+                f"decode_safety_factor must be finite and >= 1, got {decode_safety_factor}"
+            )
+        if not 0 < host_multiplier < math.inf:
+            raise ValueError(f"host_multiplier must be finite and > 0, got {host_multiplier}")
+        if not 0 <= step_overhead_seconds < math.inf:
+            raise ValueError(
+                f"step_overhead_seconds must be finite and >= 0, got {step_overhead_seconds}"
+            )
         super().__init__(name=f"worker:{vcu.vcu_id}")
         self.vcu = vcu
         #: The physical fault domain this worker's VCU lives in (optional;
@@ -92,12 +108,12 @@ class VcuWorker(Worker):
         self.decode_safety_factor = decode_safety_factor
         self.step_overhead_seconds = step_overhead_seconds
         self.golden_screening = golden_screening
-        self.health_policy = health_policy or HealthPolicy()
+        self.health_policy = (
+            DEFAULT_HEALTH_POLICY if health_policy is None else health_policy
+        )
         self.health = HealthState.HEALTHY
         self.strikes = 0
         self.rescreen_failures = 0
-        if host_multiplier is None:
-            host_multiplier = 1.0 if numa_aware else 1.0 / 1.20
         self.host_multiplier = host_multiplier
         if golden_screening:
             self._screen()

@@ -29,14 +29,18 @@ class WeakHook:
     leading underscore, whose class-level default ``None`` makes a hook
     never assigned read ``None``.  A bound method is stored as
     ``(weakref.ref(obj), function)``; ``weakref.ref`` without a callback
-    returns the one reference an object already has, so a cluster that
-    hooks 20k workers to one of its methods adds a small tuple per worker
-    (what the bound method cost) and a single weak reference.
+    returns the one reference an object already has, and the descriptor
+    stores again the pair it stored last when the same object's same
+    method is set again, so a cluster that hooks 20k workers to one of
+    its methods adds one pair and one weak reference in all.
     """
 
     def __init__(self, doc: str = "") -> None:
         self.__doc__ = doc
         self.slot = ""
+        # The pair stored last: a weak reference and a function, so it
+        # keeps no hooked object alive.
+        self._last: Any = None
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.slot = f"_{name}"
@@ -53,7 +57,10 @@ class WeakHook:
 
     def __set__(self, obj: Any, callback: Optional[Callable[..., Any]]) -> None:
         if isinstance(callback, MethodType):
-            held: Any = (weakref.ref(callback.__self__), callback.__func__)
+            ref, func = weakref.ref(callback.__self__), callback.__func__
+            held = self._last
+            if held is None or held[0] is not ref or held[1] is not func:
+                held = self._last = (ref, func)
         else:
             held = callback
         setattr(obj, self.slot, held)

@@ -8,6 +8,8 @@ dimensions), and requests reserve a vector across all of them atomically.
 
 from __future__ import annotations
 
+import math
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 
@@ -20,15 +22,32 @@ class MultiResource:
     decides where unfit requests go.
     """
 
+    __slots__ = {
+        "name": "Label used in over-release errors.",
+        "capacity": """Each dimension's total, as a read-only mapping.
+
+        Capacity never changes after construction, so resources built
+        from one ``MappingProxyType`` share it: a fleet of identical
+        devices holds one capacity mapping, not one per device.  Any
+        other mapping is copied into a fresh read-only one.""",
+        "available": "Each dimension's unreserved amount; this resource's own dict.",
+    }
+
     def __init__(self, capacities: Mapping[str, float], name: str = ""):
         if not capacities:
             raise ValueError("at least one dimension is required")
         for dim, cap in capacities.items():
-            if cap < 0:
-                raise ValueError(f"dimension {dim!r} has negative capacity {cap}")
+            if not 0.0 <= cap < math.inf:
+                raise ValueError(
+                    f"dimension {dim!r} has capacity {cap}; it must be finite and >= 0"
+                )
+        capacity = (
+            capacities if isinstance(capacities, MappingProxyType)
+            else MappingProxyType(dict(capacities))
+        )
         self.name = name
-        self.capacity: Dict[str, float] = dict(capacities)
-        self.available: Dict[str, float] = dict(capacities)
+        self.capacity: Mapping[str, float] = capacity
+        self.available: Dict[str, float] = capacity.copy()
 
     def dimensions(self) -> Tuple[str, ...]:
         return tuple(self.capacity)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.sim.resources import MultiResource
 from repro.vcu.spec import (
+    DEFAULT_VCU_SPEC,
     SHARED_ANALYSIS_FRACTION,
     EncodingMode,
     VcuSpec,
@@ -164,6 +166,25 @@ def processing_seconds(
 
 _vcu_ids = itertools.count()
 
+#: Read-only capacity mappings by ``(milliencode, millidecode,
+#: dram_capacity, host_decode_capacity)``: devices built alike share one.
+_CAPACITIES: Dict[Tuple[float, float, float, float], Mapping[str, float]] = {}
+
+
+def _shared_capacity(spec: VcuSpec, host_decode_capacity: float) -> Mapping[str, float]:
+    key = (spec.milliencode, spec.millidecode, spec.dram_capacity, host_decode_capacity)
+    capacity = _CAPACITIES.get(key)
+    if capacity is None:
+        capacity = MappingProxyType({
+            "milliencode": float(spec.milliencode),
+            "millidecode": float(spec.millidecode),
+            "dram_bytes": float(spec.dram_capacity),
+            "host_decode": host_decode_capacity,
+        })
+        MultiResource(capacity)  # validates: only an accepted capacity is kept
+        _CAPACITIES[key] = capacity
+    return capacity
+
 
 class Vcu:
     """One VCU: resources plus health state.
@@ -172,7 +193,16 @@ class Vcu:
     (quickly!) but produces bad output -- the black-holing hazard of
     Section 4.4.  Golden-task screening (in :mod:`repro.failures`) relies
     on the deterministic :meth:`golden_check`.
+
+    A fleet holds tens of thousands of these, so a device keeps only its
+    own state: it is slotted, and its spec and resource capacity are
+    shared with every device built alike.
     """
+
+    __slots__ = (
+        "spec", "vcu_id", "resources", "telemetry", "_host_ref",
+        "disabled", "corrupt", "hung", "_completed_tasks",
+    )
 
     def __init__(
         self,
@@ -180,16 +210,10 @@ class Vcu:
         vcu_id: Optional[str] = None,
         host_decode_capacity: float = 500.0,
     ):
-        self.spec = spec or VcuSpec()
+        self.spec = spec or DEFAULT_VCU_SPEC
         self.vcu_id = vcu_id or f"vcu-{next(_vcu_ids)}"
         self.resources = MultiResource(
-            {
-                "milliencode": float(self.spec.milliencode),
-                "millidecode": float(self.spec.millidecode),
-                "dram_bytes": float(self.spec.dram_capacity),
-                "host_decode": host_decode_capacity,
-            },
-            name=self.vcu_id,
+            _shared_capacity(self.spec, host_decode_capacity), name=self.vcu_id
         )
         self.telemetry = VcuTelemetry(self.vcu_id)
         # Set by the host that holds this device; read through ``host``.

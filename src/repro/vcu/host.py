@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 
 from repro.vcu.chip import Vcu
-from repro.vcu.spec import HostSpec, VcuSpec
+from repro.vcu.spec import DEFAULT_HOST_SPEC, DEFAULT_VCU_SPEC, HostSpec, VcuSpec
 
 
 class VcuCard:
@@ -23,8 +22,8 @@ class VcuCard:
     _ids = itertools.count()
 
     def __init__(self, spec: VcuSpec = None, host_spec: HostSpec = None):
-        spec = spec or VcuSpec()
-        host_spec = host_spec or HostSpec()
+        spec = spec or DEFAULT_VCU_SPEC
+        host_spec = host_spec or DEFAULT_HOST_SPEC
         self.card_id = f"card-{next(self._ids)}"
         self.vcus = [
             Vcu(spec, vcu_id=f"{self.card_id}/vcu{i}")
@@ -41,7 +40,7 @@ class VcuTray:
     _ids = itertools.count()
 
     def __init__(self, spec: VcuSpec = None, host_spec: HostSpec = None):
-        host_spec = host_spec or HostSpec()
+        host_spec = host_spec or DEFAULT_HOST_SPEC
         self.tray_id = f"tray-{next(self._ids)}"
         self.cards = [
             VcuCard(spec, host_spec) for _ in range(host_spec.cards_per_tray)
@@ -66,8 +65,8 @@ class VcuHost:
         numa_aware: bool = True,
         host_id: Optional[str] = None,
     ):
-        self.spec = spec or VcuSpec()
-        self.host_spec = host_spec or HostSpec()
+        self.spec = spec or DEFAULT_VCU_SPEC
+        self.host_spec = host_spec or DEFAULT_HOST_SPEC
         self.host_id = host_id or f"host-{next(self._ids)}"
         self.numa_aware = numa_aware
         self.trays = [

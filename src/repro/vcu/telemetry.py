@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # deferred: repro.vcu.host imports this module back
     from repro.vcu.host import VcuHost
@@ -42,9 +43,14 @@ DISABLE_THRESHOLDS: Dict[FaultKind, int] = {
 }
 
 
-#: Every counter at zero; copied per device (``dict.fromkeys`` would
-#: iterate the enum each time, which adds up over a 20k-device fleet).
+#: Every counter at zero, and the read-only view of it that every
+#: fault-free device shares as its ``counters``.
 _ZERO_COUNTERS: Dict[FaultKind, int] = dict.fromkeys(FaultKind, 0)
+_ZERO_VIEW: Mapping[FaultKind, int] = MappingProxyType(_ZERO_COUNTERS)
+
+
+def _zero_view() -> Mapping[FaultKind, int]:
+    return _ZERO_VIEW
 
 
 @dataclass
@@ -61,8 +67,12 @@ class VcuTelemetry:
 
     vcu_id: str
     temperature_c: float = 55.0
-    counters: Dict[FaultKind, int] = field(default_factory=_ZERO_COUNTERS.copy)
-    history: List[Tuple[float, FaultKind]] = field(default_factory=list)
+    #: Faults recorded per kind, read-only.  Until its first
+    #: :meth:`record` a device reads one all-zero view shared by every
+    #: fault-free device (most of a fleet, most of the time); that record
+    #: gives the device its own dict, and :meth:`reset` points it back at
+    #: the shared view.
+    counters: Mapping[FaultKind, int] = field(default_factory=_zero_view)
     #: Some counter has reached its disable threshold (sticky until reset).
     tripped: bool = field(default=False, init=False)
     # Set by the host that holds this device; read through ``host``.
@@ -81,11 +91,19 @@ class VcuTelemetry:
         return None if ref is None else ref()
 
     def record(self, kind: FaultKind, at_time: float = 0.0, count: int = 1) -> None:
+        """Count ``count`` faults of ``kind``.
+
+        ``at_time`` is the simulated time of the fault; the counters keep
+        totals only.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        total = self.counters[kind] + count
-        self.counters[kind] = total
-        self.history.append((at_time, kind))
+        counters = self.counters
+        if not isinstance(counters, dict):
+            # The shared zero view: a first fault gives the device its own.
+            counters = self.counters = dict(counters)
+        total = counters[kind] + count
+        counters[kind] = total
         if total >= DISABLE_THRESHOLDS[kind] and not self.tripped:
             self.tripped = True
             host = self.host
@@ -94,8 +112,7 @@ class VcuTelemetry:
 
     def reset(self) -> None:
         """Clean counters, as after a repair swaps the faulty silicon."""
-        self.counters = _ZERO_COUNTERS.copy()
-        self.history.clear()
+        self.counters = _ZERO_VIEW
         self.tripped = False
 
     def should_disable(self) -> bool:

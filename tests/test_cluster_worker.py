@@ -1,5 +1,7 @@
 """Unit tests for VCU and CPU workers."""
 
+import math
+
 import pytest
 
 from repro.cluster.worker import (
@@ -24,6 +26,29 @@ def make_task(source="720p", is_mot=True, frames=150):
 
 
 class TestVcuWorker:
+    @pytest.mark.parametrize("param, value", [
+        ("target_speedup", 0.0), ("target_speedup", -1.0),
+        ("target_speedup", math.nan), ("target_speedup", math.inf),
+        ("decode_safety_factor", 0.0), ("decode_safety_factor", 0.5),
+        ("decode_safety_factor", math.nan), ("decode_safety_factor", math.inf),
+        ("host_multiplier", 0.0), ("host_multiplier", -1.2),
+        ("host_multiplier", math.nan), ("host_multiplier", math.inf),
+        ("step_overhead_seconds", -5.0), ("step_overhead_seconds", math.nan),
+        ("step_overhead_seconds", math.inf),
+    ])
+    def test_rejects_values_that_would_fail_mid_run(self, param, value):
+        # Each of these used to construct and then fail (or, for a NaN
+        # speedup, silently never finish) when a step was first placed.
+        with pytest.raises(ValueError, match=param):
+            VcuWorker(Vcu(DEFAULT_VCU_SPEC), **{param: value})
+
+    def test_accepts_the_boundary_values(self):
+        worker = VcuWorker(
+            Vcu(DEFAULT_VCU_SPEC), decode_safety_factor=1.0, step_overhead_seconds=0.0,
+        )
+        task = make_task()
+        assert worker.step_seconds(task, worker.request_for(task)) > 0
+
     def test_step_time_includes_overhead_and_io(self):
         worker = VcuWorker(Vcu(DEFAULT_VCU_SPEC))
         task = make_task()

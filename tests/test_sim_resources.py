@@ -1,8 +1,14 @@
 """Unit tests for multi-dimensional resources."""
 
+import math
+
 import pytest
 
+from repro.cluster.worker import CpuWorker
 from repro.sim import MultiResource
+from repro.vcu.chip import Vcu
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestMultiResource:
@@ -59,6 +65,27 @@ class TestMultiResource:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             MultiResource({"x": -1})
+
+    @pytest.mark.parametrize("cap", NON_FINITE)
+    def test_non_finite_capacity_rejected_naming_the_dimension(self, cap):
+        with pytest.raises(ValueError, match="'dram'"):
+            MultiResource({"decode": 3000, "dram": cap})
+
+    @pytest.mark.parametrize("cap", NON_FINITE)
+    def test_non_finite_cpu_cores_rejected(self, cap):
+        with pytest.raises(ValueError, match="cores"):
+            CpuWorker(cores=cap)
+
+    @pytest.mark.parametrize("cap", NON_FINITE)
+    def test_non_finite_host_decode_capacity_rejected(self, cap):
+        with pytest.raises(ValueError, match="host_decode"):
+            Vcu(host_decode_capacity=cap)
+
+    def test_capacity_is_read_only(self):
+        res = self.make()
+        with pytest.raises(TypeError):
+            res.capacity["decode"] = 1
+        assert res.capacity["decode"] == 3000
 
     def test_empty_capacities_rejected(self):
         with pytest.raises(ValueError):
