@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import (
-    Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple,
+    Deque, Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -210,9 +210,6 @@ class TranscodeCluster:
         self._remaining_deps: Dict[int, int] = {}
         self._dependents: Dict[int, List[Step]] = {}
         self._graph_remaining: Dict[int, int] = {}
-        # Each transcode step's VCU resource request, from its first
-        # hardware placement attempt until it completes.
-        self._vcu_requests: Dict[int, Dict[str, float]] = {}
         self._rehabbing: Set[str] = set()
         # Workers that failed the golden battery at bind time enter the
         # same rehabilitation loop as mid-run quarantines: the resilience
@@ -358,12 +355,12 @@ class TranscodeCluster:
         if not hardware_exhausted:
             # Request shape depends on the target worker type only through
             # the spec, identical across the fleet; probe with any worker.
-            # Its inputs never change, so a step computes it once: rejected
-            # attempts and retries reuse it until _complete drops it.
-            request = self._vcu_requests.get(id(step))
-            if request is None:
-                request = self.vcu_workers[0].request_for(task)
-                self._vcu_requests[id(step)] = request
+            # The task prices each configuration once, so every attempt and
+            # retry of every step of its shape reads one read-only request.
+            probe = self.vcu_workers[0]
+            request = task.priced_request(
+                probe.vcu.spec, probe.target_speedup, probe.decode_safety_factor
+            )
             preference = None
             if self._affinity is not None:
                 preference = self._affinity.placement_order(
@@ -436,7 +433,7 @@ class TranscodeCluster:
     # Execution
 
     def _start_vcu_step(
-        self, step: Step, worker: VcuWorker, request: Dict[str, float], excluded: Set[str]
+        self, step: Step, worker: VcuWorker, request: Mapping[str, float], excluded: Set[str]
     ) -> None:
         step.attempts += 1
         step.processed_by = worker.vcu.vcu_id
@@ -569,7 +566,7 @@ class TranscodeCluster:
         self.sim.call_in(delay, lambda: self._enqueue(step, excluded))
 
     def _start_cpu_transcode(
-        self, step: Step, worker: CpuWorker, request: Dict[str, float]
+        self, step: Step, worker: CpuWorker, request: Mapping[str, float]
     ) -> None:
         step.attempts += 1
         step.processed_by = worker.name
@@ -726,7 +723,6 @@ class TranscodeCluster:
         if graph is None:
             raise RuntimeError(f"step {step.step_id} completed twice")
         del self._remaining_deps[key]
-        self._vcu_requests.pop(key, None)
         self.stats.completed_steps += 1
         if step.is_transcode() and not corrupt:
             megapixels = step.vcu_task.output_pixels / 1e6

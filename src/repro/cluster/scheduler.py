@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 from repro import obs
 
@@ -69,13 +70,13 @@ class PlaceableWorker(Protocol):  # pragma: no cover - structural typing
     name: str
 
     def available(self) -> bool: ...
-    def try_admit(self, request: Dict[str, float]) -> bool: ...
+    def try_admit(self, request: Mapping[str, float]) -> bool: ...
 
 
 class SchedulerProtocol(Protocol):  # pragma: no cover
     def place(
         self,
-        request: Dict[str, float],
+        request: Mapping[str, float],
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> Optional[PlaceableWorker]: ...
@@ -127,10 +128,16 @@ class BinPackingScheduler:
         #: Row indices in the order :meth:`_refresh_row` re-read them.
         self._changed: List[int] = []
         self._log_limit = _LOG_SLACK
-        #: ``tuple(request.items())`` -> ``[tests, bits, seen]``: the
-        #: shape's ``(column, epsilon, amount)`` row tests, its fit bit
-        #: per row, and the change-log position the bits reflect.
+        #: ``tuple(request.items())`` -> ``[tests, bits, seen, pinned]``:
+        #: the shape's ``(column, epsilon, amount)`` row tests, its fit bit
+        #: per row, the change-log position the bits reflect (None before
+        #: the first test), and the last read-only request that used it.
         self._shapes: Dict[Tuple, list] = {}
+        #: ``id(request)`` -> shape, for the request each shape pins.  An
+        #: entry whose request has since been replaced is stale, and its
+        #: id may belong to a new object by now: a hit counts only when
+        #: the shape still pins that very request.
+        self._shape_of: Dict[int, list] = {}
         self._rebuild_index()
 
     @property
@@ -164,6 +171,7 @@ class BinPackingScheduler:
     def _forget_shapes(self) -> None:
         """Drop every shape's fit bits and clear the change log."""
         self._shapes.clear()
+        self._shape_of.clear()
         self._changed.clear()
         self._log_limit = _LOG_PER_ROW * len(self._avail) + _LOG_SLACK
 
@@ -189,7 +197,7 @@ class BinPackingScheduler:
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
-    def _fit_bits(self, request: Dict[str, float]) -> bytearray:
+    def _fit_bits(self, request: Mapping[str, float]) -> bytearray:
         """The request shape's fit bit per row, caught up with the log.
 
         A shape re-tests the rows logged since its last use, or every
@@ -197,26 +205,20 @@ class BinPackingScheduler:
         row's tests are ``MultiResource.fits``'s: same epsilon, same
         missing-dimension rule.
         """
-        key = tuple(request.items())
-        shape = self._shapes.get(key)
+        shape = self._shape_of.get(id(request))
+        if shape is None or shape[3] is not request:
+            shape = self._shape(request)
+            if shape is None:
+                # Resource-less workers' rows are +inf, so they pass
+                # every other test: the bits are exactly theirs.
+                return self._unindexed
+        tests, bits, seen, _ = shape
         changed = self._changed
         avail = self._avail
-        if shape is None or len(changed) - shape[2] > len(avail):
-            tests = []
-            for dim, amount in request.items():
-                if amount <= 0:
-                    continue
-                j = self._dim_index.get(dim)
-                if j is None:
-                    # Resource-less workers' rows are +inf, so they pass
-                    # every other test: the bits are exactly theirs.
-                    return self._unindexed
-                tests.append((j, max(1e-9, 1e-9 * abs(amount)), amount))
-            shape = self._shapes[key] = [tests, bytearray(len(avail)), 0]
+        if seen is None or len(changed) - seen > len(avail):
             rows: Sequence[int] = range(len(avail))
         else:
-            rows = changed[shape[2]:]
-        tests, bits, _ = shape
+            rows = changed[seen:]
         shape[2] = len(changed)
         for index in rows:
             row = avail[index]
@@ -228,12 +230,37 @@ class BinPackingScheduler:
                 bits[index] = 1
         return bits
 
+    def _shape(self, request: Mapping[str, float]) -> Optional[list]:
+        """The shape of ``request``'s items; None when it needs a
+        dimension no indexed worker has.
+
+        A read-only request becomes the shape's pin, so its next use
+        finds the shape by identity.  A dict may be written between
+        calls, so it is looked up by its items every time.
+        """
+        key = tuple(request.items())
+        shape = self._shapes.get(key)
+        if shape is None:
+            tests = []
+            for dim, amount in request.items():
+                if amount <= 0:
+                    continue
+                j = self._dim_index.get(dim)
+                if j is None:
+                    return None
+                tests.append((j, max(1e-9, 1e-9 * abs(amount)), amount))
+            shape = self._shapes[key] = [tests, bytearray(len(self._avail)), None, None]
+        if type(request) is MappingProxyType:
+            shape[3] = request
+            self._shape_of[id(request)] = shape
+        return shape
+
     # ------------------------------------------------------------------ #
     # Placement
 
     def place(
         self,
-        request: Dict[str, float],
+        request: Mapping[str, float],
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> Optional[PlaceableWorker]:
@@ -256,7 +283,7 @@ class BinPackingScheduler:
 
     def place_batch(
         self,
-        requests: Sequence[Dict[str, float]],
+        requests: Sequence[Mapping[str, float]],
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> List[Optional[PlaceableWorker]]:
@@ -265,7 +292,7 @@ class BinPackingScheduler:
 
     def _place_indexed(
         self,
-        request: Dict[str, float],
+        request: Mapping[str, float],
         excluded: Set[str],
         preference: Optional[Sequence[str]],
     ) -> Optional[PlaceableWorker]:
@@ -305,7 +332,7 @@ class BinPackingScheduler:
         return None
 
     def release(
-        self, worker: PlaceableWorker, request: Dict[str, float]
+        self, worker: PlaceableWorker, request: Mapping[str, float]
     ) -> None:
         """Release a placed request and re-read its worker's row.
 
@@ -352,7 +379,7 @@ class SingleSlotScheduler:
 
     def place(
         self,
-        request: Dict[str, float],
+        request: Mapping[str, float],
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> Optional[PlaceableWorker]:
@@ -399,7 +426,7 @@ class SingleSlotScheduler:
             insort(self._free, index)
 
     def release(
-        self, worker: PlaceableWorker, request: Dict[str, float]
+        self, worker: PlaceableWorker, request: Mapping[str, float]
     ) -> None:
         """Release a placed request plus the slot it burned."""
         worker.release(request)  # type: ignore[attr-defined]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Mapping, Optional, TYPE_CHECKING
 
 from repro import obs
 from repro.baselines.cpu import SkylakeSystem
@@ -29,7 +30,7 @@ from repro.cluster.health import (
 )
 from repro.sim.hooks import WeakHook
 from repro.sim.resources import MultiResource
-from repro.vcu.chip import Vcu, VcuTask, processing_seconds, resource_request
+from repro.vcu.chip import Vcu, VcuTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vcu.host import VcuHost
@@ -37,11 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Fixed per-step overhead on a VCU worker: process spawn (one process per
 #: transcode), queue setup, stream mux/demux on the host.
 STEP_OVERHEAD_SECONDS = 0.8
-#: Effective network share per VCU worker for moving video on/off the host
-#: (100 Gbps NIC across 20 workers, halved for protocol/RPC overheads).
-IO_BYTES_PER_SECOND = 100e9 / 8 / 20 / 2
-#: Average compression density of production video (Appendix A.2).
-PIXELS_PER_BIT = 6.1
 
 
 class Worker:
@@ -170,24 +166,23 @@ class VcuWorker(Worker):
             return False
         return self.host is None or not self.host.unusable
 
-    def request_for(self, task: VcuTask) -> Dict[str, float]:
-        return resource_request(
-            task, self.vcu.spec, self.target_speedup,
-            decode_safety_factor=self.decode_safety_factor,
+    def request_for(self, task: VcuTask) -> Mapping[str, float]:
+        """The task's read-only request, priced once for this worker's
+        configuration."""
+        return task.priced_request(
+            self.vcu.spec, self.target_speedup, self.decode_safety_factor
         )
 
-    def step_seconds(self, task: VcuTask, granted: Dict[str, float]) -> float:
+    def step_seconds(self, task: VcuTask, granted: Mapping[str, float]) -> float:
         """Wall-clock time for a step: device processing (scaled by host
         efficiency) plus per-step overhead and host I/O."""
-        device = processing_seconds(task, self.vcu.spec, granted)
-        io_bytes = (task.input_pixels + task.output_pixels) / PIXELS_PER_BIT / 8.0
-        io = io_bytes / IO_BYTES_PER_SECOND
+        device = task.device_seconds(self.vcu.spec, granted)
         if self.vcu.corrupt:
             # A failing-but-fast VCU races through work (Section 4.4).
             device *= 0.3
-        return device / self.host_multiplier + self.step_overhead_seconds + io
+        return device / self.host_multiplier + self.step_overhead_seconds + task.io_seconds
 
-    def try_admit(self, request: Dict[str, float]) -> bool:
+    def try_admit(self, request: Mapping[str, float]) -> bool:
         if not self.available():
             return False
         admitted = self.vcu.try_admit(request)
@@ -195,7 +190,7 @@ class VcuWorker(Worker):
             self.active_steps += 1
         return admitted
 
-    def release(self, request: Dict[str, float]) -> None:
+    def release(self, request: Mapping[str, float]) -> None:
         self.vcu.release(request)
         self.active_steps -= 1
 
@@ -288,22 +283,25 @@ class CpuWorker(Worker):
             raise ValueError("cores must be positive")
         self.cores = cores
         self.resources = MultiResource({"cpu_cores": cores}, name=self.name)
+        # Fixed core bundles, one read-only mapping each: every step that
+        # places here shares one request object.
+        self._step_request = MappingProxyType({"cpu_cores": min(4.0, cores)})
+        self._transcode_request = MappingProxyType({"cpu_cores": min(8.0, cores)})
 
     def available(self) -> bool:
         return True
 
-    def request_for_cpu_step(self, core_seconds: float, max_cores: float = 4.0) -> Dict[str, float]:
-        cores = min(max_cores, self.cores)
-        return {"cpu_cores": cores}
+    def request_for_cpu_step(self, core_seconds: float) -> Mapping[str, float]:
+        return self._step_request
 
-    def cpu_step_seconds(self, core_seconds: float, granted: Dict[str, float]) -> float:
+    def cpu_step_seconds(self, core_seconds: float, granted: Mapping[str, float]) -> float:
         return core_seconds / granted["cpu_cores"]
 
-    def request_for_transcode(self, task: VcuTask) -> Dict[str, float]:
+    def request_for_transcode(self, task: VcuTask) -> Mapping[str, float]:
         """Software fallback: grab a fixed core bundle per transcode."""
-        return {"cpu_cores": min(8.0, self.cores)}
+        return self._transcode_request
 
-    def transcode_seconds(self, task: VcuTask, granted: Dict[str, float]) -> float:
+    def transcode_seconds(self, task: VcuTask, granted: Mapping[str, float]) -> float:
         total = 0.0
         for output in task.outputs:
             mpix = output.pixels * task.frame_count / 1e6
@@ -311,12 +309,12 @@ class CpuWorker(Worker):
             total += mpix / rate_per_core
         return total / granted["cpu_cores"]
 
-    def try_admit(self, request: Dict[str, float]) -> bool:
+    def try_admit(self, request: Mapping[str, float]) -> bool:
         admitted = self.resources.acquire(request)
         if admitted:
             self.active_steps += 1
         return admitted
 
-    def release(self, request: Dict[str, float]) -> None:
+    def release(self, request: Mapping[str, float]) -> None:
         self.resources.release(request)
         self.active_steps -= 1

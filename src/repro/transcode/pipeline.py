@@ -9,6 +9,7 @@ signals), and a final assembly step gated on every transcode.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,6 +74,10 @@ class StepGraph:
     completed_at: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # A cluster finishes a graph when its last step completes, so a
+        # graph with no steps would never finish.
+        if not self.steps:
+            raise ValueError(f"graph {self.video_id!r} has no steps")
         self._validate_acyclic()
 
     def transcode_steps(self) -> List[Step]:
@@ -210,6 +215,12 @@ def ladder_steps(
     return steps
 
 
+#: Every live task a step graph holds, by value.  Equal steps share one
+#: task, and so one price memo (see :class:`~repro.vcu.chip.VcuTask`).
+#: Held weakly: a task lives exactly as long as some step holds it.
+_TASKS: "weakref.WeakValueDictionary[tuple, VcuTask]" = weakref.WeakValueDictionary()
+
+
 def _transcode_step(
     chunk: Chunk,
     codec: str,
@@ -218,16 +229,28 @@ def _transcode_step(
     is_mot: bool,
     software_decode: bool,
 ) -> Step:
-    task = VcuTask(
-        codec=codec,
-        mode=mode,
-        input_resolution=chunk.nominal,
-        outputs=list(outputs),
-        frame_count=chunk.frame_count,
-        fps=chunk.fps,
-        is_mot=is_mot,
-        software_decode=software_decode,
+    nominal = chunk.nominal
+    outputs = list(outputs)
+    # Resolutions enter the key by name, whose hash a str caches; hashing
+    # a Resolution re-hashes its fields on every lookup.  An ad hoc
+    # Resolution may reuse a name, so a hit must also hold these very
+    # resolutions (the tuple and list compare by identity first).
+    key = (
+        codec, mode, nominal.name, tuple([r.name for r in outputs]),
+        chunk.frame_count, chunk.fps, is_mot, software_decode,
     )
+    task = _TASKS.get(key)
+    if task is None or (task.input_resolution, task.outputs) != (nominal, outputs):
+        task = _TASKS[key] = VcuTask(
+            codec=codec,
+            mode=mode,
+            input_resolution=nominal,
+            outputs=outputs,
+            frame_count=chunk.frame_count,
+            fps=chunk.fps,
+            is_mot=is_mot,
+            software_decode=software_decode,
+        )
     suffix = "mot" if is_mot else f"sot-{outputs[0].name}"
     return Step(
         step_id=f"{chunk.chunk_id}/{codec}/{suffix}",

@@ -10,8 +10,10 @@ management stack operates on (Section 4.4).
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -31,11 +33,24 @@ if TYPE_CHECKING:  # deferred: repro.vcu.host imports this module back
     from repro.vcu.host import VcuHost
 
 MiB = 1024**2
+#: Effective network share per VCU worker for moving video on/off the host
+#: (100 Gbps NIC across 20 workers, halved for protocol/RPC overheads).
+IO_BYTES_PER_SECOND = 100e9 / 8 / 20 / 2
+#: Average compression density of production video (Appendix A.2).
+PIXELS_PER_BIT = 6.1
 
 
 @dataclass(frozen=True)
 class VcuTask:
-    """One transcoding step: a chunk in, one or more encoded variants out."""
+    """One transcoding step: a chunk in, one or more encoded variants out.
+
+    A task's fields never change, so its price is pure arithmetic on them
+    and on the worker that runs it, and each part is computed once: the
+    pixel counts and I/O time on first read, the resource request once
+    per worker configuration (:meth:`priced_request`) and the device time
+    once per spec and request (:meth:`device_seconds`).  The step-graph
+    builder gives equal steps one task, so they all read one memo.
+    """
 
     codec: str
     mode: EncodingMode
@@ -52,23 +67,72 @@ class VcuTask:
     def __post_init__(self) -> None:
         if not self.outputs:
             raise ValueError("task needs at least one output")
-        if self.frame_count <= 0 or self.fps <= 0:
-            raise ValueError("frame_count and fps must be positive")
+        if self.frame_count <= 0:
+            raise ValueError(f"frame_count must be positive, got {self.frame_count}")
+        # A NaN rate would price every step at NaN millicores, which no
+        # worker ever fits, and an infinite one at zero seconds.
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
         if not self.is_mot and len(self.outputs) != 1:
             raise ValueError("an SOT task has exactly one output")
+        # The price memo.  Each entry pins the objects whose ids key it,
+        # so no other object can take those ids while the entry exists.
+        object.__setattr__(self, "_requests", {})
+        object.__setattr__(self, "_device", {})
 
-    @property
+    @cached_property
     def input_pixels(self) -> float:
         return float(self.input_resolution.pixels * self.frame_count)
 
-    @property
+    @cached_property
     def output_pixels(self) -> float:
         return float(sum(r.pixels for r in self.outputs) * self.frame_count)
 
-    @property
+    @cached_property
     def duration_seconds(self) -> float:
         """Content duration (not processing time)."""
         return self.frame_count / self.fps
+
+    @cached_property
+    def io_seconds(self) -> float:
+        """Moving the chunk onto the host and its variants off it."""
+        io_bytes = (self.input_pixels + self.output_pixels) / PIXELS_PER_BIT / 8.0
+        return io_bytes / IO_BYTES_PER_SECOND
+
+    def priced_request(
+        self, spec: VcuSpec, target_speedup: float = 1.0,
+        decode_safety_factor: float = 1.0,
+    ) -> Mapping[str, float]:
+        """:func:`resource_request`, computed once per ``spec`` (by
+        identity), ``target_speedup`` and ``decode_safety_factor``.
+
+        Every caller shares the returned mapping, so it is read-only.
+        """
+        key = (id(spec), target_speedup, decode_safety_factor)
+        entry = self._requests.get(key)
+        if entry is None:
+            request = MappingProxyType(
+                resource_request(self, spec, target_speedup, decode_safety_factor)
+            )
+            entry = self._requests[key] = (spec, request)
+        return entry[1]
+
+    def device_seconds(self, spec: VcuSpec, granted: Mapping[str, float]) -> float:
+        """:func:`processing_seconds`, computed once per ``spec`` and
+        granted request (both by identity).
+
+        Only a request from :meth:`priced_request` is remembered: it is
+        read-only and pinned by its own entry.  Any other mapping could
+        change between calls, so its time is computed afresh.
+        """
+        key = (id(spec), id(granted))
+        entry = self._device.get(key)
+        if entry is not None:
+            return entry[1]
+        seconds = processing_seconds(self, spec, granted)
+        if any(request is granted for _, request in self._requests.values()):
+            self._device[key] = (spec, seconds)
+        return seconds
 
 
 def encode_core_seconds(task: VcuTask, spec: VcuSpec) -> float:
@@ -147,7 +211,7 @@ def resource_request(
 
 
 def processing_seconds(
-    task: VcuTask, spec: VcuSpec, granted: Dict[str, float]
+    task: VcuTask, spec: VcuSpec, granted: Mapping[str, float]
 ) -> float:
     """Wall time to finish the task with the granted millicore vector."""
     encode_need = encode_core_seconds(task, spec)
@@ -236,13 +300,13 @@ class Vcu:
         ref = self._host_ref
         return None if ref is None else ref()
 
-    def try_admit(self, request: Dict[str, float]) -> bool:
+    def try_admit(self, request: Mapping[str, float]) -> bool:
         """Reserve a task's resource vector; False if it does not fit."""
         if self.disabled:
             return False
         return self.resources.acquire(request)
 
-    def release(self, request: Dict[str, float]) -> None:
+    def release(self, request: Mapping[str, float]) -> None:
         self.resources.release(request)
         self._completed_tasks += 1
 

@@ -4,13 +4,8 @@ import math
 
 import pytest
 
-from repro.cluster.worker import (
-    IO_BYTES_PER_SECOND,
-    STEP_OVERHEAD_SECONDS,
-    CpuWorker,
-    VcuWorker,
-)
-from repro.vcu.chip import Vcu, VcuTask
+from repro.cluster.worker import STEP_OVERHEAD_SECONDS, CpuWorker, VcuWorker
+from repro.vcu.chip import IO_BYTES_PER_SECOND, Vcu, VcuTask
 from repro.vcu.spec import DEFAULT_VCU_SPEC, EncodingMode
 from repro.video.frame import output_ladder, resolution
 

@@ -26,7 +26,6 @@ from repro.video.frame import resolution
 #: Every map the cluster keeps per step or per graph in flight.
 PER_STEP_MAPS = (
     "_graph_of", "_remaining_deps", "_dependents", "_graph_remaining",
-    "_vcu_requests",
 )
 
 

@@ -22,8 +22,9 @@ down:
   worker, under both schedulers and through a fault-and-repair storm.
   (``tests/test_live_sums.py`` holds the pairwise sums behind those
   records to numpy's own reduction.)
-* A saturated month computes each transcode step's resource request
-  once, however many placements refuse it.
+* A saturated month prices each distinct transcode task once per
+  worker configuration, however many steps share it and however many
+  placements refuse them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.cluster.timeline import default_timeline, run_month
 from repro.failures import FailureManager, FailureSweeper, FaultInjector
 from repro.sim.engine import Simulator
 from repro.transcode import PopularityBucket, build_transcode_graph
+from repro.vcu import chip
 from repro.vcu.chip import Vcu
 from repro.vcu.host import VcuHost
 from repro.vcu.spec import DEFAULT_VCU_SPEC
@@ -363,17 +365,23 @@ class TestRowsAndUtilizationTableExact:
 
 class TestPerStepCosts:
     def test_request_computed_once_per_step(self, monkeypatch):
-        """Saturated queues reject most placements; the step's resource
-        request is still computed once, not once per attempt."""
-        calls = []
-        request_for = VcuWorker.request_for
+        """Saturated queues reject most placements, and equal steps share
+        one task: ``resource_request`` runs exactly once per distinct
+        (task, spec, configuration), far fewer times than the 672 steps
+        that try a VCU."""
+        priced = []
+        real = chip.resource_request
 
-        def counting(worker, task):
-            calls.append(id(task))
-            return request_for(worker, task)
+        def counting(task, spec, target_speedup=1.0, decode_safety_factor=1.0):
+            # Holding the task and spec keeps their ids unique for the run.
+            priced.append((task, spec, target_speedup, decode_safety_factor))
+            return real(task, spec, target_speedup, decode_safety_factor)
 
-        monkeypatch.setattr(VcuWorker, "request_for", counting)
+        monkeypatch.setattr(chip, "resource_request", counting)
         month = default_timeline(7)[6]
         result = run_month(month, horizon_seconds=20.0, seed=5)
         assert result.total_megapixels > 0
-        assert len(calls) == len(set(calls)) == 672
+        keys = {(id(task), id(spec), *config) for task, spec, *config in priced}
+        assert len(keys) == len(priced)
+        assert len({id(spec) for _, spec, *_ in priced}) == 1
+        assert 0 < len(priced) < 672

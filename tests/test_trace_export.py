@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
-import tempfile
 from types import MappingProxyType
 
 import numpy as np
@@ -149,17 +147,22 @@ def test_every_jsonl_line_is_the_oracle(drawn):
     assert outcome(TraceLog.to_jsonl, log) == outcome(oracle_jsonl, log)
 
 
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    """One file every round-trip example overwrites: a directory per
+    example made the test slow enough to miss Hypothesis's deadline."""
+    return str(tmp_path_factory.mktemp("round_trip") / "trace.jsonl")
+
+
 @given(drawn=st.lists(spans(times=floats | floats.map(np.float64)), max_size=8))
-def test_write_read_round_trip(drawn):
+def test_write_read_round_trip(round_trip_path, drawn):
     """Spans read back write the same line again: the reader keeps every
     value the writer put in the line."""
     log = TraceLog()
     for span in drawn:
         log.append(span.kind, span.name, span.t0, span.t1, span.attrs)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.jsonl")
-        assert log.write_jsonl(path) == len(drawn)
-        read = TraceLog.read_jsonl(path)
+    assert log.write_jsonl(round_trip_path) == len(drawn)
+    read = TraceLog.read_jsonl(round_trip_path)
     assert [span.to_json() for span in read] == [span.to_json() for span in log]
 
 

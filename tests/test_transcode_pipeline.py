@@ -109,6 +109,12 @@ class TestGraphBuilding:
         with pytest.raises(ValueError):
             StepGraph(video_id="v", steps=[a, b], workload=WorkloadClass.UPLOAD)
 
+    def test_a_graph_needs_a_step(self):
+        # A cluster finishes a graph with its last step, so an empty one
+        # would sit in the cluster forever, never reported done.
+        with pytest.raises(ValueError, match="'empty'"):
+            StepGraph(video_id="empty", steps=[], workload=WorkloadClass.UPLOAD)
+
     def test_software_decode_flag_propagates(self):
         graph = self.build(software_decode=True)
         assert all(s.vcu_task.software_decode for s in graph.transcode_steps())

@@ -1,5 +1,7 @@
 """Tests for the VCU chip model: tasks, resource requests, health."""
 
+import math
+
 import pytest
 
 from repro.vcu.chip import (
@@ -44,6 +46,13 @@ class TestVcuTask:
                 outputs=[resolution("1080p"), resolution("720p")],
                 frame_count=10, fps=30, is_mot=False,
             )
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_fps_must_be_finite_and_positive(self, fps):
+        # A NaN rate priced every step at NaN millicores, which nothing
+        # fits, and an infinite one divided by zero at the first placement.
+        with pytest.raises(ValueError, match="fps"):
+            make_task(fps=fps)
 
     def test_outputs_required(self):
         with pytest.raises(ValueError):
