@@ -230,8 +230,8 @@ class TestCalendarEngineFloor:
             lambda: _engine_run(engine, True, 200),
             rounds=1, iterations=1, warmup_rounds=0,
         )
-        # Even with no ties to batch, the two-tier calendar must beat
-        # the single heap on heap-traffic volume alone.
+        # Even with no ties to batch, the bucketed calendar must beat
+        # the reference heap on heap-traffic volume alone.
         assert reference_s / fast_s > 1.2
 
 

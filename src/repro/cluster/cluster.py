@@ -256,7 +256,13 @@ class TranscodeCluster:
     # Submission
 
     def submit(self, graph: StepGraph) -> None:
-        """Register a step graph; its ready steps enter the work queue."""
+        """Register a step graph; its ready steps enter the work queue.
+
+        A graph runs once: one this cluster holds, or one already
+        completed, is rejected, since its steps would complete twice.
+        """
+        if id(graph) in self._graph_remaining or graph.completed_at is not None:
+            raise ValueError(f"graph {graph.video_id!r} was already submitted")
         graph.submitted_at = self.sim.now
         self._graph_remaining[id(graph)] = len(graph.steps)
         for step in graph.steps:
@@ -745,22 +751,21 @@ class TranscodeCluster:
             self._graph_remaining[id(graph)] = remaining
             return
         del self._graph_remaining[id(graph)]
-        if graph.completed_at is None:
-            graph.completed_at = self.sim.now
-            self.stats.completed_graphs += 1
-            latency = graph.completed_at - graph.submitted_at
-            self.stats.graph_latencies.append(latency)
-            hub = obs.active()
-            if hub is not None:
-                self.telemetry.note_graph_latency(latency)
-                hub.emit(
-                    "graph", graph.video_id,
-                    t0=graph.submitted_at, t1=graph.completed_at,
-                    attrs={"steps": len(graph.steps)},
-                )
-            on_graph_done = self.on_graph_done
-            if on_graph_done is not None:
-                on_graph_done(graph)
+        graph.completed_at = self.sim.now
+        self.stats.completed_graphs += 1
+        latency = graph.completed_at - graph.submitted_at
+        self.stats.graph_latencies.append(latency)
+        hub = obs.active()
+        if hub is not None:
+            self.telemetry.note_graph_latency(latency)
+            hub.emit(
+                "graph", graph.video_id,
+                t0=graph.submitted_at, t1=graph.completed_at,
+                attrs={"steps": len(graph.steps)},
+            )
+        on_graph_done = self.on_graph_done
+        if on_graph_done is not None:
+            on_graph_done(graph)
 
     # ------------------------------------------------------------------ #
     # Metrics

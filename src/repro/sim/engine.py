@@ -1,18 +1,24 @@
 """A deterministic discrete-event simulation engine.
 
 The engine is intentionally small: generator-based processes scheduled on
-a bucketed event calendar (:mod:`repro.sim.calendar`).  Processes are
-plain Python generators that ``yield`` either a delay (``float``/``int``
-seconds of virtual time) or an :class:`Event` to wait on.  Determinism
-matters for the reproduction -- two runs with the same seed must produce
-identical schedules -- so events dispatch in ``(when, seq)`` order: time
-order with ties broken by schedule order, exactly the contract of the
-original single-heapq loop (kept verbatim, for the equivalence suite and
-the perf floors, in ``tests/oracles/engine.py``).
+one event calendar.  Processes are plain Python generators that
+``yield`` either a delay (``float``/``int`` seconds of virtual time) or
+an :class:`Event` to wait on.  Determinism matters for the reproduction
+-- two runs with the same seed must produce identical schedules -- so
+events dispatch in ``(when, seq)`` order: time order with ties broken by
+schedule order, exactly the contract of the original single-heapq loop
+(kept verbatim, for the equivalence suite and the perf floors, in
+``tests/oracles/engine.py``).
 
-The calendar core exists for fleet scale: same-timestamp buckets are
-drained in one batched pass instead of one heap pop per event, and the
-dominant ``yield <float>`` resume is dispatched inline in :meth:`run`
+The calendar exists for fleet scale, where thousands of events share a
+timestamp: it is a dict of buckets keyed by the *exact* timestamp plus
+one min-heap of the distinct timestamps present.  A push is a dict
+lookup and a list append (one heap push when it opens a bucket), and
+:meth:`Simulator.run` pops a whole same-timestamp bucket and dispatches
+it in one pass.  Buckets need no sort and entries carry no sequence
+number: push order within a bucket *is* the ``seq`` order, and the heap
+yields buckets in strictly increasing time.  The dominant
+``yield <float>`` resume is dispatched inline in :meth:`Simulator.run`
 with a reused entry tuple, so a step completion costs a dict lookup and
 a list append rather than two ``O(log n)`` heap operations.
 
@@ -36,9 +42,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.sim.calendar import CalendarQueue
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 
 class Timer:
@@ -88,13 +92,13 @@ class Event:
         self._value = value
         sim = self.sim
         for process in self._waiters:
-            sim._calendar.push(sim._now, (process, value))
+            sim._push(sim._now, (process, value))
         self._waiters.clear()
         return self
 
     def _add_waiter(self, process: "Process") -> None:
         if self._fired:
-            self.sim._calendar.push(self.sim._now, (process, self._value))
+            self.sim._push(self.sim._now, (process, self._value))
         else:
             self._waiters.append(process)
 
@@ -116,24 +120,21 @@ class Process:
         self._send = generator.send
 
     def _handle_yield(self, yielded: Any) -> None:
-        """Schedule the process's next resume according to what it yielded.
+        """Schedule the resume for a yield the run loop does not inline.
 
-        One ladder for every yield type: exact ``float``/``int`` take the
-        first branch, and well-behaved numeric *subclasses* fold into the
-        same delay path -- except ``bool``, which is an ``int`` subclass
-        by accident of history, not a duration: ``yield True`` is always
-        a bug (usually a mistyped ``yield event``), so it is rejected
-        loudly instead of silently sleeping 1.0s.
+        :meth:`Simulator.run` resumes exact ``float``/``int`` delays
+        itself, so what arrives here is an :class:`Event` to wait on or
+        a numeric *subclass*, which folds into the same delay path --
+        except ``bool``, which is an ``int`` subclass by accident of
+        history, not a duration: ``yield True`` is always a bug (usually
+        a mistyped ``yield event``), so it is rejected loudly instead of
+        silently sleeping 1.0s.
         """
-        cls = type(yielded)
-        if cls is float or cls is int:
-            delay = yielded
-        elif isinstance(yielded, Event):
+        if isinstance(yielded, Event):
             yielded._add_waiter(self)
             return
-        elif cls is not bool and isinstance(yielded, (int, float)):
-            delay = float(yielded)
-        else:
+        cls = type(yielded)
+        if cls is bool or not isinstance(yielded, (int, float)):
             detail = (
                 f"a bool ({yielded!r}), which is never a delay"
                 if cls is bool
@@ -143,13 +144,14 @@ class Process:
                 f"process {self.name!r} yielded {detail}; "
                 "expected a delay or Event"
             )
+        delay = float(yielded)
         if delay < 0:
             raise ValueError(f"process {self.name!r} yielded negative delay {delay}")
         sim = self.sim
         when = sim._now + delay
         if not math.isfinite(when):
             raise ValueError(f"process {self.name!r} yielded non-finite delay {delay}")
-        sim._calendar.push(when, (self, None))
+        sim._push(when, (self, None))
 
 
 class Simulator:
@@ -163,7 +165,12 @@ class Simulator:
         #   (timer, callback) -- Timer entries
         # Ordering lives entirely in the calendar (when + push order), so
         # entries carry no timestamps or sequence numbers of their own.
-        self._calendar = CalendarQueue()
+        # No bucket is ever keyed by a non-finite time: call_at and
+        # _handle_yield reject one before pushing, an Event pushes at
+        # now, and the run loop's inline resume checks when it opens a
+        # bucket (a NaN never finds an existing one).
+        self._buckets: Dict[float, List[tuple]] = {}
+        self._times: List[float] = []
         #: The process whose generator is currently advancing, if any --
         #: the span context the observability layer stamps onto trace
         #: events emitted from inside simulation processes.
@@ -182,10 +189,19 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
+    def _push(self, when: float, entry: tuple) -> None:
+        """Queue ``entry`` at ``when``, after every entry already there."""
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [entry]
+            heappush(self._times, when)
+        else:
+            bucket.append(entry)
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process; it first runs at the current virtual time."""
         process = Process(self, generator, name=name)
-        self._calendar.push(self._now, (process, None))
+        self._push(self._now, (process, None))
         return process
 
     def call_at(self, when: float, callback: Callable[[], object]) -> Timer:
@@ -200,7 +216,7 @@ class Simulator:
         if not math.isfinite(when):
             raise ValueError(f"cannot schedule at non-finite time {when}")
         timer = Timer(when)
-        self._calendar.push(when, (timer, callback))
+        self._push(when, (timer, callback))
         return timer
 
     def call_in(self, delay: float, callback: Callable[[], object]) -> Timer:
@@ -268,7 +284,8 @@ class Simulator:
         simulator stays usable: anything scheduled afterwards runs on an
         empty calendar.
         """
-        self._calendar = CalendarQueue(self._calendar.span)
+        self._buckets = {}
+        self._times = []
         self.active_process = None
 
     def run(self, until: Optional[float] = None) -> float:
@@ -291,23 +308,17 @@ class Simulator:
         process yields a plain delay its entry tuple is pushed back
         verbatim (the ``(process, None)`` pair is immutable across such
         hops), so the steady state allocates nothing per event.  A
-        non-finite resume time cannot fall below the near tier's
-        horizon, so it is rejected on the far branch only.
+        non-finite resume time never finds an existing bucket, so it is
+        rejected only where a new bucket opens.
         """
         if until is not None and not self._now <= until < math.inf:
             raise ValueError(
                 f"run(until={until}) must be finite and not before now={self._now}"
             )
-        cal = self._calendar
-        buckets = cal.buckets
-        times = cal.times
-        horizon = cal.horizon
-        while True:
-            if not times:
-                if not cal.overflow:
-                    break
-                cal.advance()
-                horizon = cal.horizon
+        buckets = self._buckets
+        times = self._times
+        isfinite = math.isfinite
+        while times:
             when = times[0]
             if until is not None and when > until:
                 self._now = until
@@ -346,20 +357,17 @@ class Simulator:
                     nxt = when + yielded
                     if entry[1] is not None:
                         entry = (process, None)
-                    if nxt < horizon:
-                        bucket = buckets.get(nxt)
-                        if bucket is None:
-                            buckets[nxt] = [entry]
-                            heappush(times, nxt)
-                        else:
-                            bucket.append(entry)
-                    else:
-                        if not math.isfinite(nxt):
+                    bucket = buckets.get(nxt)
+                    if bucket is None:
+                        if not isfinite(nxt):
                             raise ValueError(
                                 f"process {process.name!r} yielded "
                                 f"non-finite delay {yielded}"
                             )
-                        cal.push_far(nxt, entry)
+                        buckets[nxt] = [entry]
+                        heappush(times, nxt)
+                    else:
+                        bucket.append(entry)
                 else:
                     process._handle_yield(yielded)
         if until is not None and until > self._now:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.transcode.ladder import LadderPolicy, PopularityBucket
 from repro.transcode.modes import WorkloadClass, mode_for
@@ -78,31 +78,28 @@ class StepGraph:
         # graph with no steps would never finish.
         if not self.steps:
             raise ValueError(f"graph {self.video_id!r} has no steps")
-        self._validate_acyclic()
+        # A graph lists each step once, after every step it depends on.
+        # A dependency outside the graph would never complete, and the
+        # rule leaves no room for a cycle.
+        listed: Set[Step] = set()
+        for step in self.steps:
+            for dep in step.depends_on:
+                if dep not in listed:
+                    raise ValueError(
+                        f"graph {self.video_id!r}: step {step.step_id!r} depends"
+                        f" on {dep.step_id!r}, which is not listed before it"
+                    )
+            if step in listed:
+                raise ValueError(
+                    f"graph {self.video_id!r} lists step {step.step_id!r} twice"
+                )
+            listed.add(step)
 
     def transcode_steps(self) -> List[Step]:
         return [s for s in self.steps if s.is_transcode()]
 
     def output_megapixels(self) -> float:
         return sum(s.vcu_task.output_pixels for s in self.transcode_steps()) / 1e6
-
-    def _validate_acyclic(self) -> None:
-        seen: Dict[int, int] = {}  # id -> 0 visiting, 1 done
-        for step in self.steps:
-            _visit(step, seen)
-
-
-def _visit(step: Step, seen: Dict[int, int]) -> None:
-    """Depth-first walk of ``step``'s dependencies; raises on a cycle."""
-    state = seen.get(id(step))
-    if state == 0:
-        raise ValueError(f"dependency cycle through step {step.step_id}")
-    if state == 1:
-        return
-    seen[id(step)] = 0
-    for dep in step.depends_on:
-        _visit(dep, seen)
-    seen[id(step)] = 1
 
 
 def build_transcode_graph(

@@ -166,3 +166,20 @@ class TestValidation:
                 cluster.submit(upload_graph())
                 sim.run()
                 assert cluster.stats.completed_graphs == 1
+
+    def test_a_graph_is_submitted_once(self):
+        # Its steps would complete twice, and a completed graph's second
+        # run would never report done.
+        sim = Simulator()
+        cluster = make_cluster(sim, vcus=1)
+        graph = upload_graph("v", frames=60, source="480p")
+        cluster.submit(graph)
+        with pytest.raises(ValueError, match="'v'"):
+            cluster.submit(graph)
+        sim.run()
+        assert cluster.stats.completed_graphs == 1
+        steps = cluster.stats.completed_steps
+        with pytest.raises(ValueError, match="'v'"):
+            cluster.submit(graph)
+        sim.run()
+        assert cluster.stats.completed_steps == steps

@@ -109,6 +109,36 @@ class TestGraphBuilding:
         with pytest.raises(ValueError):
             StepGraph(video_id="v", steps=[a, b], workload=WorkloadClass.UPLOAD)
 
+    @pytest.mark.parametrize(
+        "order", ["foreign", "duplicate", "dependent-first", "reversed-chain"]
+    )
+    def test_each_step_is_listed_once_after_its_dependencies(self, order):
+        # A dependency outside the graph never completes, a duplicate step
+        # completes twice, and a long chain must not recurse.
+        def step(name, *deps):
+            return Step(step_id=name, kind=StepKind.ASSEMBLE, video_id="v",
+                        depends_on=list(deps))
+
+        if order == "foreign":
+            steps = [step("inner", step("outside"))]
+            match = "'inner' depends on 'outside'"
+        elif order == "duplicate":
+            a = step("a")
+            steps = [a, step("b", a), a]
+            match = "lists step 'a' twice"
+        elif order == "dependent-first":
+            a = step("a")
+            steps = [step("b", a), a]
+            match = "'b' depends on 'a'"
+        else:
+            chain = [step("s0")]
+            for i in range(1, 3000):
+                chain.append(step(f"s{i}", chain[-1]))
+            steps = chain[::-1]
+            match = "'s2999' depends on 's2998'"
+        with pytest.raises(ValueError, match=f"graph 'v'.*{match}"):
+            StepGraph(video_id="v", steps=steps, workload=WorkloadClass.UPLOAD)
+
     def test_a_graph_needs_a_step(self):
         # A cluster finishes a graph with its last step, so an empty one
         # would sit in the cluster forever, never reported done.
